@@ -149,10 +149,8 @@ void BM_TenKGridSimulatedSecond(benchmark::State& state)
 {
     // Wall cost of one simulated second on a 100x100 grid (10k nodes, 8
     // crossing flows) through the streaming recorders — the CI perf-smoke
-    // case. Uniformly connected with no interference-only band, so it
-    // stays one shard; what it measures is the per-event cost at scale
-    // and the flat recorder memory. BM_ClusterGridEventRate below is the
-    // 10k-node case that does cut.
+    // case. Connected, so it stays one shard; what it measures is the
+    // per-event cost at scale and the flat recorder memory.
     constexpr double kSimSeconds = 1.0;
     std::uint64_t events = 0;
     for (auto _ : state) {
@@ -178,55 +176,6 @@ void BM_TenKGridSimulatedSecond(benchmark::State& state)
     state.counters["peak_rss_mb"] = benchmark::Counter(peak_rss_mb());
 }
 BENCHMARK(BM_TenKGridSimulatedSecond)->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void BM_ClusterGridEventRate(benchmark::State& state)
-{
-    // One simulated second on a 10k-node connected clustered grid (4
-    // clusters of 50x50, gaps inside the interference-only band), the
-    // workload the boundary-proxy layer exists for: a connected conflict
-    // graph that still cuts. Arg 0 is the shard budget (1 = serial
-    // reference), Arg 1 the worker threads; ghost mirroring across the
-    // gaps rides in the event counts.
-    const int shards = static_cast<int>(state.range(0));
-    const int threads = static_cast<int>(state.range(1));
-    constexpr double kSimSeconds = 1.0;
-    std::uint64_t events = 0;
-    int shard_count = 0;
-    for (auto _ : state) {
-        state.PauseTiming();
-        net::ClustersSpec clusters;
-        clusters.clusters = 4;
-        clusters.cols = 50;
-        clusters.rows = 50;
-        clusters.sources = 2;
-        clusters.start_s = 0.0;
-        clusters.duration_s = kSimSeconds;
-        clusters.max_shards = shards;
-        analysis::ExperimentOptions options;
-        options.streaming = true;
-        analysis::ExperimentFactory factory(analysis::ScenarioSpec::clusters_spec(clusters),
-                                            options);
-        auto experiment = factory.make(/*seed=*/7);
-        experiment->network().set_shard_threads(threads);
-        state.ResumeTiming();
-        experiment->run_until_s(kSimSeconds);
-        events += experiment->network().total_processed();
-        shard_count = experiment->network().shard_count();
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(kSimSeconds * util::kSecond));
-    state.counters["events_per_s"] =
-        benchmark::Counter(static_cast<double>(events), benchmark::Counter::kIsRate);
-    state.counters["shards"] = benchmark::Counter(static_cast<double>(shard_count));
-    state.counters["peak_rss_mb"] = benchmark::Counter(peak_rss_mb());
-}
-BENCHMARK(BM_ClusterGridEventRate)
-    ->Args({1, 1})
-    ->Args({2, 2})
-    ->Args({4, 4})
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
 
 }  // namespace
 

@@ -25,7 +25,7 @@ struct ScenarioSpec {
         kParkingLot,  ///< arbitrary-length chain, staggered entry flows
         kMesh,        ///< seeded random mesh, shortest-path flows
         kIslands,     ///< disconnected grid islands (sharded-engine bench)
-        kClusters,    ///< connected clustered grids (connected-cut bench)
+        kClusters,    ///< connected clustered grids (one conflict component)
     };
 
     Kind kind = Kind::kScenario1;

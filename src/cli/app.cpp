@@ -8,6 +8,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "analysis/result_diff.h"
 #include "analysis/sweep.h"
@@ -298,6 +299,8 @@ int run_one(const FigureSpec& spec, const RunFlags& flags)
             print_perf(spec, perf_before);
         }
         if (!write_outputs(flags, result)) return 1;
+    } catch (const FlagError& e) {
+        return usage(e.what());
     } catch (const std::exception& e) {
         std::fprintf(stderr, "ezflow: figure '%s' failed: %s\n", spec.name.c_str(), e.what());
         return 1;
@@ -493,24 +496,6 @@ int run_app(int argc, char** argv)
     }
     if (command == "help" || command == "--help") return usage();
     return usage(("unknown command '" + command + "'").c_str());
-}
-
-int run_figure_main(const std::string& name, int argc, char** argv)
-{
-    register_builtin_figures();
-    const FigureSpec* spec = FigureRegistry::instance().find(name);
-    if (spec == nullptr || !spec->runnable()) {
-        std::fprintf(stderr, "ezflow: figure '%s' is not registered\n", name.c_str());
-        return 2;
-    }
-    const util::Cli cli(argc, argv);
-    try {
-        return run_one(*spec, parse_run_flags(cli));
-    } catch (const std::invalid_argument&) {
-        return usage("malformed numeric flag value");
-    } catch (const std::out_of_range&) {
-        return usage("numeric flag value out of range");
-    }
 }
 
 }  // namespace ezflow::cli

@@ -161,10 +161,6 @@ FigureResult run_grid_clusters(const FigureContext& ctx)
     clusters.spacing_m = ctx.extra_double("spacing", clusters.spacing_m);
     clusters.gap_m = ctx.extra_double("gap", clusters.gap_m);
     clusters.duration_s = ctx.extra_double("duration", 60.0 * ctx.scale);
-    // Default to one shard per cluster so every run (including CI smoke)
-    // exercises the connected-cut engine; --shards overrides, and the
-    // figure JSON is byte-identical at any shard count.
-    clusters.max_shards = clusters.clusters;
     const int flows = clusters.clusters * clusters.sources;
     const std::vector<SweepWindow> windows = {
         SweepWindow{"settled", clusters.start_s + 0.3 * clusters.duration_s,
@@ -216,11 +212,11 @@ void register_grid_figures()
     registry.add(FigureSpec{
         "grid_clusters", "", "figure",
         "connected clustered grids cut along an interference-only gap",
-        "the connected-cut partitioner's target case: one conflict component, severable edges",
-        "Clusters are linked only by cross-gap interference (no sensing or delivery), so the "
-        "partitioner cuts the gap and the sharded engine mirrors boundary transmissions as "
-        "read-only ghost signals. Figure JSON is byte-identical to the serial engine "
-        "(--shards=1). Extra flags: --clusters, --cols, --rows, --sources, --spacing, --gap, "
+        "convergecast clusters coupled only by cross-gap interference: one conflict component",
+        "Clusters are linked only by cross-gap interference (no sensing or delivery), which "
+        "still corrupts receptions at the facing rims. The conflict graph is connected, so the "
+        "planner keeps every cluster in one shard and the run is the serial reference at any "
+        "--shards. Extra flags: --clusters, --cols, --rows, --sources, --spacing, --gap, "
         "--duration.",
         1.0, 2, 0.1, 2, run_grid_clusters});
 }

@@ -12,12 +12,31 @@ std::vector<std::uint64_t> FigureContext::seed_grid() const
     return grid;
 }
 
+namespace {
+
+/// `parse` (std::stoi/std::stod) over the whole of `text`: a trailing
+/// remainder ("4x") is as malformed as no number at all ("abc").
+template <typename Parse>
+auto parse_whole(const std::string& name, const std::string& text, Parse parse)
+{
+    std::size_t used = 0;
+    try {
+        const auto value = parse(text, &used);
+        if (used == text.size()) return value;
+    } catch (const std::logic_error&) {  // invalid_argument or out_of_range
+    }
+    throw FlagError("malformed value for --" + name + ": '" + text + "'");
+}
+
+}  // namespace
+
 int FigureContext::extra_int(const std::string& name, int fallback) const
 {
     extra_consumed.insert(name);
     const auto it = extra.find(name);
     if (it == extra.end()) return fallback;
-    return std::stoi(it->second);  // throws on malformed input, like core flags
+    return parse_whole(name, it->second,
+                       [](const std::string& s, std::size_t* used) { return std::stoi(s, used); });
 }
 
 double FigureContext::extra_double(const std::string& name, double fallback) const
@@ -25,7 +44,8 @@ double FigureContext::extra_double(const std::string& name, double fallback) con
     extra_consumed.insert(name);
     const auto it = extra.find(name);
     if (it == extra.end()) return fallback;
-    return std::stod(it->second);
+    return parse_whole(name, it->second,
+                       [](const std::string& s, std::size_t* used) { return std::stod(s, used); });
 }
 
 bool FigureContext::extra_bool(const std::string& name, bool fallback) const

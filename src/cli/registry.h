@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,12 @@
 namespace ezflow::cli {
 
 struct FigureSpec;
+
+/// A figure-specific `--name=value` flag whose value is not a number; the
+/// CLI reports it as a usage error naming the flag.
+struct FlagError : std::invalid_argument {
+    using std::invalid_argument::invalid_argument;
+};
 
 /// Everything a registered figure runner needs for one invocation:
 /// the resolved knobs (scale/seed/seeds/threads already defaulted from
@@ -37,16 +44,15 @@ struct FigureContext {
     mutable std::set<std::string> extra_consumed;
 
     std::vector<std::uint64_t> seed_grid() const;
-    /// Throws std::invalid_argument on a malformed value (like the core
-    /// numeric flags do); marks `name` consumed either way.
+    /// Throw FlagError unless the whole value parses as a number; mark
+    /// `name` consumed either way.
     int extra_int(const std::string& name, int fallback) const;
     double extra_double(const std::string& name, double fallback) const;
     bool extra_bool(const std::string& name, bool fallback) const;
 };
 
 /// A registered scenario/figure: the unit `ezflow list | run | sweep`
-/// operates on. Every former standalone bench/example main is one of
-/// these; the old binaries remain as thin launchers around the registry.
+/// operates on.
 struct FigureSpec {
     std::string name;        ///< canonical short name ("fig06", "table2", ...)
     std::string aka;         ///< former bench/example target name, also resolvable
@@ -90,7 +96,7 @@ private:
 };
 
 /// Register every figure/table/ablation/example/micro entry exactly once
-/// (idempotent; safe to call from each thin launcher main).
+/// (idempotent; safe to call from every entry point and test).
 void register_builtin_figures();
 
 }  // namespace ezflow::cli

@@ -22,12 +22,6 @@ bool ContentionCoordinator::is_registered(const BackoffClient& client) const
     return find_index(client) != entries_.size();
 }
 
-SimTime ContentionCoordinator::registered_expiry(const BackoffClient& client) const
-{
-    const std::size_t index = find_index(client);
-    return index == entries_.size() ? -1 : entries_[index].expiry;
-}
-
 void ContentionCoordinator::insert_entry(Entry entry)
 {
     // Fire order of two entries' pending virtual events, were they due at

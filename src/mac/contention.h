@@ -105,13 +105,6 @@ public:
 
     bool is_registered(const BackoffClient& client) const;
 
-    /// The registered expiry instant of `client`, or -1 when it is not
-    /// registered. For a frozen-then-rearmed chain this is the instant
-    /// currently committed; it can only move later, never earlier — the
-    /// conservative property the sharded engine's lookahead relies on
-    /// when bounding the next boundary transmission.
-    SimTime registered_expiry(const BackoffClient& client) const;
-
     /// Bracket a transmission that is not driven by a coordinator expiry
     /// (SIFS-timed control frames, data after CTS) so that freezes caused
     /// by its busy cascade resolve exact slot-boundary ties the way the

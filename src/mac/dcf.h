@@ -134,16 +134,6 @@ public:
     /// Virtual carrier sense deadline (NAV). Exposed for tests.
     SimTime nav_until() const { return nav_until_; }
 
-    /// Earliest instant at which this MAC is already committed to putting
-    /// energy on the air: the armed SIFS/slot control trigger, the
-    /// CTS -> data follow-up, or the coordinator backoff expiry —
-    /// whichever comes first; -1 when nothing is committed. Commitments
-    /// can only be replaced by later ones (a busy medium postpones, never
-    /// advances), so the value is a sound lower bound on the next
-    /// transmission — the per-node input to the sharded engine's
-    /// conservative epoch horizon.
-    SimTime earliest_committed_tx_at() const;
-
     /// Whether the MAC is currently committed to a head packet (an access
     /// or exchange is in progress). The packet stays queue backlog until
     /// the exchange settles, but its receiver may already have progressed
@@ -270,8 +260,6 @@ private:
     /// cancelled timer cannot fire after a teardown or revive).
     sim::Timer ctrl_timer_;
     sim::Timer cts_data_timer_;
-    SimTime next_ctrl_at_ = -1;  ///< armed control trigger (-1: none/on air)
-    SimTime cts_data_at_ = -1;   ///< armed CTS -> data follow-up (-1: none)
 
     // A-MPDU batch state (aggregation_enabled() only; empty otherwise).
     BlockAckManager ba_;

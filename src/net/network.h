@@ -140,12 +140,6 @@ public:
 
     /// The epoch driver; built on demand when shard_count() > 1 (null
     /// for a single shard — run_until drives the scheduler directly).
-    /// For a connected-cut plan the first build also installs the
-    /// boundary-proxy layer: every boundary node's transmissions are
-    /// mirrored into the neighbouring shards' channels as read-only
-    /// ghost signals, and the epoch horizon is derived dynamically from
-    /// the boundary MACs' committed transmission times (see
-    /// sim::ShardedEngine::set_horizon_provider).
     sim::ShardedEngine* sharded_engine();
 
     // --- fault injection ---
@@ -161,7 +155,8 @@ public:
     void set_node_up(NodeId id);
     bool node_is_up(NodeId id) const { return node(id).is_up(); }
 
-    /// Advance simulated time.
+    /// Advance simulated time. A sharded run first brings the compiled
+    /// routing table up to date, so shard workers only ever read it.
     void run_until(util::SimTime t);
     util::SimTime now() const { return shards_[0]->scheduler.now(); }
 
@@ -178,10 +173,6 @@ private:
 
     Shard& shard(int s);
     const Shard& shard(int s) const;
-
-    /// Wire the ghost-mirror hooks and the dynamic horizon provider for a
-    /// connected-cut plan (called once, when the engine is built).
-    void install_connected_cut_support();
 
     Config config_;
     util::Rng rng_;

@@ -125,6 +125,11 @@ public:
     static constexpr NodeId kNoNextHop = std::numeric_limits<NodeId>::min();
     NodeId next_hop_or_none(int flow_id, NodeId node) const;
 
+    /// Bring the compiled table up to date with the builder now, so the
+    /// lookups that follow are pure reads (safe from concurrent shard
+    /// workers as long as nothing mutates the builder meanwhile).
+    void sync() const { ensure_fresh(); }
+
     /// Compiled dimensions (testing/introspection; compile on demand).
     int flow_count() const;
     NodeId node_stride() const;

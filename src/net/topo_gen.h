@@ -140,13 +140,12 @@ Scenario make_islands(const IslandsSpec& spec, std::uint64_t seed);
 /// inter-cluster band is *interference-only*: wider than the
 /// sense/delivery radius (no cross-cluster links or carrier sensing) yet
 /// within interference range (facing rim columns still corrupt each
-/// other's receptions). This is the connected-cut partitioner's target
-/// case — the conflict graph is one component, but every cross-cluster
-/// edge is severable with ghost-signal mirroring. The capture threshold
-/// is raised so a lone cross-gap interferer actually corrupts a
+/// other's receptions), so the conflict graph is one component and
+/// plan_shards keeps it in a single shard. The capture threshold is
+/// raised so a lone cross-gap interferer actually corrupts a
 /// spacing_m-distance reception (two-ray 1/d^4: SIR at 600 m vs 200 m is
 /// 81, below the 100 default here but above the ns-2 default of 10) —
-/// without that, the mirrored ghosts would be outcome-inert. Each
+/// without that, the cross-gap coupling would be outcome-inert. Each
 /// cluster runs its own convergecast exactly like IslandsSpec; node ids
 /// are cluster-major, flow ids cluster-major 1..clusters*sources.
 struct ClustersSpec {
@@ -158,7 +157,7 @@ struct ClustersSpec {
     /// Must satisfy max(tx, cs) < gap_m and gap_m <= interference range.
     double gap_m = 600.0;
     /// Ranges <= 0 keep the default_config values (250/550). The
-    /// interference default is widened past the gap so the cut exists.
+    /// interference default is widened past the gap so the clusters couple.
     double tx_range_m = 0.0;
     double cs_range_m = 0.0;
     double interference_range_m = 700.0;
@@ -169,9 +168,9 @@ struct ClustersSpec {
     int max_shards = 1;
 };
 
-/// Connected clustered grids of convergecast traffic — the connected-cut
-/// benchmark topology (one shard per cluster when max_shards allows,
-/// with boundary-node ghost mirroring across the interference-only gap).
+/// Connected clustered grids of convergecast traffic, coupled across the
+/// interference-only gap (always one shard: the conflict graph is
+/// connected).
 Scenario make_cluster_grid(const ClustersSpec& spec, std::uint64_t seed);
 
 }  // namespace ezflow::net

@@ -18,7 +18,6 @@ void Channel::attach(NodePhy& phy)
     phys_.push_back(&phy);
     phy.set_channel(this);
     reach_.clear();  // topology grew: rebuild lazily on the next transmit
-    ghost_reach_.clear();
 }
 
 void Channel::detach(NodePhy& phy)
@@ -37,7 +36,6 @@ void Channel::detach(NodePhy& phy)
     // otherwise leave the cache at the same size but pointing at the
     // dead PHY.
     reach_.clear();
-    ghost_reach_.clear();
 }
 
 bool Channel::is_attached(const NodePhy& phy) const
@@ -60,15 +58,6 @@ void Channel::set_propagation_model(std::unique_ptr<PropagationModel> model)
 {
     propagation_ = std::move(model);
     reach_.clear();  // power law changed: precomputed powers are stale
-    ghost_reach_.clear();
-}
-
-void Channel::set_mirror_hook(std::vector<net::NodeId> boundary_senders, MirrorHook hook)
-{
-    if (!std::is_sorted(boundary_senders.begin(), boundary_senders.end()))
-        throw std::invalid_argument("Channel::set_mirror_hook: senders must be sorted");
-    mirror_senders_ = std::move(boundary_senders);
-    mirror_hook_ = std::move(hook);
 }
 
 double Channel::link_power(net::NodeId tx, net::NodeId rx, double distance_m)
@@ -228,64 +217,6 @@ void Channel::transmit(NodePhy& sender, Frame frame)
     }
     scheduler_.schedule_in(duration,
                            [phy = &sender, ref = record] { phy->tx_end(*ref); });
-
-    // Boundary mirroring (connected-cut sharding): hand the transmission
-    // to the Network's hook so foreign shards receive it as a ghost. The
-    // hook only copies and posts — it consumes no channel RNG and cannot
-    // affect anything local, so the reference path is untouched.
-    if (mirror_hook_ &&
-        std::binary_search(mirror_senders_.begin(), mirror_senders_.end(), sender.id()))
-        mirror_hook_(sender, shared, duration, signal_id);
-}
-
-void Channel::inject_ghost(net::NodeId foreign_id, const Position& foreign_pos, Frame frame,
-                           SimTime duration_us, std::uint64_t ghost_signal_id)
-{
-    auto it = ghost_reach_.find(foreign_id);
-    if (it == ghost_reach_.end()) {
-        // First ghost from this foreign node since the last topology
-        // change: precompute which local PHYs its energy reaches and with
-        // what power, using the same propagation code path as a local
-        // transmission would (bit-identical doubles).
-        const double radius_hard = std::max(params_.tx_range_m, params_.cs_range_m);
-        std::vector<GhostReachEntry> entries;
-        for (NodePhy* phy : phys_) {
-            const double d = distance(foreign_pos, phy->position());
-            if (d > params_.conflict_radius_m()) continue;
-            if (d <= radius_hard)
-                throw std::logic_error(
-                    "Channel::inject_ghost: foreign node within sense/delivery range "
-                    "(the shard plan must only cut interference-only edges)");
-            entries.push_back(GhostReachEntry{phy, link_power(foreign_id, phy->id(), d)});
-        }
-        it = ghost_reach_.emplace(foreign_id, std::move(entries)).first;
-    }
-
-    const FrameRef record = frame_pool_.make(std::move(frame));
-    const Frame& shared = *record;
-    const bool sinr = interference_ == PhyModelConfig::Interference::kSinrLedger;
-    const double threshold = frame_capture_threshold(shared);
-    const double noise_w = sinr ? params_.noise_floor_w : 0.0;
-    for (const GhostReachEntry& entry : it->second) {
-        RxEvent rx;
-        rx.signal_id = ghost_signal_id;
-        rx.frame = &shared;
-        rx.power_w = entry.power_w;
-        rx.noise_w = noise_w;
-        rx.capture_threshold = threshold;
-        // Interference-only by the plan (checked when the cache was
-        // built): no decode candidate, no carrier-sense energy, no
-        // error-model roll — a pure SINR-ledger entry, which is what
-        // makes ghost delivery order-commutative against local events at
-        // the same instant.
-        rx.in_delivery = false;
-        rx.sensed = false;
-        rx.error = false;
-        entry.phy->signal_start(rx);
-        scheduler_.schedule_in(duration_us, [phy = entry.phy, ghost_signal_id, ref = record] {
-            phy->signal_end(ghost_signal_id, *ref);
-        });
-    }
 }
 
 }  // namespace ezflow::phy

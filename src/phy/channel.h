@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -117,30 +116,6 @@ public:
     /// shared by every receiver's signal-end event (single-copy fan-out).
     void transmit(NodePhy& sender, Frame frame);
 
-    // --- connected-cut sharding: boundary-proxy (ghost) layer ---
-    /// Observer of boundary transmissions. Called synchronously inside
-    /// transmit() for senders named in `set_mirror_hook`, after the local
-    /// fan-out; the Network's hook posts the mirror into the neighbouring
-    /// shards through the sharded engine's mailbox.
-    using MirrorHook = std::function<void(const NodePhy& sender, const Frame& frame,
-                                          SimTime duration_us, std::uint64_t signal_id)>;
-    /// Mark the node ids whose transmissions must be mirrored into
-    /// foreign shards and install the hook that performs the mirroring.
-    /// `boundary_senders` must be sorted ascending.
-    void set_mirror_hook(std::vector<net::NodeId> boundary_senders, MirrorHook hook);
-
-    /// Inject a foreign shard's boundary transmission as a read-only
-    /// ghost signal: every attached PHY within interference range of
-    /// `foreign_pos` receives a pure SINR-ledger RxEvent (no decode, no
-    /// carrier sense, no error-model roll — and therefore no RNG
-    /// consumption), with signal-end scheduled `duration_us` later.
-    /// `ghost_signal_id` must be namespaced by the caller so it can never
-    /// collide with this channel's own signal ids. Throws if any local
-    /// PHY sits within sense/delivery range of the foreign node — that
-    /// would mean the shard plan cut a non-interference edge.
-    void inject_ghost(net::NodeId foreign_id, const Position& foreign_pos, Frame frame,
-                      SimTime duration_us, std::uint64_t ghost_signal_id);
-
     /// Rate for the next data attempt on tx -> rx (0 = PHY default).
     std::int64_t data_bitrate(net::NodeId tx, net::NodeId rx)
     {
@@ -197,23 +172,12 @@ private:
     /// Rebuild the per-transmitter reachability sets when stale.
     void ensure_reach();
 
-    /// One local receiver of a foreign boundary node's ghost signals,
-    /// with its precomputed power. Cached per foreign node (positions are
-    /// fixed for a run); invalidated symmetrically with reach_.
-    struct GhostReachEntry {
-        NodePhy* phy;
-        double power_w;
-    };
-
     sim::Scheduler& scheduler_;
     util::Rng rng_;
     PhyParams params_;
     std::vector<NodePhy*> phys_;
     std::unordered_map<net::NodeId, std::size_t> index_by_id_;  ///< attach index per node id
     std::vector<std::vector<ReachEntry>> reach_;  ///< per transmitter, in attach order
-    std::unordered_map<net::NodeId, std::vector<GhostReachEntry>> ghost_reach_;
-    std::vector<net::NodeId> mirror_senders_;  ///< sorted; mirror their transmissions
-    MirrorHook mirror_hook_;
     bool cull_enabled_ = true;
     LinkTable<std::unique_ptr<ErrorModel>> error_models_;
     std::unique_ptr<PropagationModel> propagation_;  ///< null = reference two-ray

@@ -21,18 +21,8 @@ void ShardedEngine::run_until(util::SimTime t)
     // Every shard's clock sits at clock_ between epochs (run_until leaves
     // the scheduler clock at the horizon even when no event lands there).
     while (clock_ < t) {
-        util::SimTime horizon;
-        if (horizon_provider_) {
-            // The provider's answer is conservative but may be stale or
-            // beyond the target; clamping into (clock_, t] preserves both
-            // progress and the posting contract (see set_horizon_provider).
-            horizon = horizon_provider_(clock_, t);
-            if (horizon <= clock_) horizon = clock_ + 1;
-            if (horizon > t) horizon = t;
-        } else {
-            horizon =
-                options_.lookahead > 0 ? std::min<util::SimTime>(t, clock_ + options_.lookahead) : t;
-        }
+        const util::SimTime horizon =
+            options_.lookahead > 0 ? std::min<util::SimTime>(t, clock_ + options_.lookahead) : t;
         horizon_ = horizon;
         util::parallel_for(shard_count(), options_.threads, [&](int s) {
             shards_[static_cast<std::size_t>(s)]->run_until(horizon);

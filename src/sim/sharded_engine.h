@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <vector>
 
@@ -46,19 +45,6 @@ public:
     /// Advance every shard to `t` (epoch loop with barriers).
     void run_until(util::SimTime t);
 
-    /// Dynamic conservative lookahead: called between epochs with
-    /// (epoch start, run target), must return a horizon H such that no
-    /// cross-shard handoff with a timestamp < H can be posted during the
-    /// epoch (handoffs exactly at H are legal). The engine clamps the
-    /// answer into (epoch start, target] — returning a stale instant is
-    /// safe, it just degrades into minimal one-microsecond epochs. When
-    /// installed it replaces the static Options::lookahead stepping; the
-    /// Network's connected-cut support derives H from the boundary MACs'
-    /// committed transmission times plus the SIFS decision-to-air bound.
-    using HorizonProvider = std::function<util::SimTime(util::SimTime epoch_start,
-                                                        util::SimTime target)>;
-    void set_horizon_provider(HorizonProvider provider) { horizon_provider_ = std::move(provider); }
-
     /// Post a timestamped cross-shard handoff; delivered into the target
     /// shard's scheduler at the next epoch barrier. Callable from any
     /// shard worker mid-epoch. `at` must be >= the current epoch horizon
@@ -81,7 +67,6 @@ private:
 
     std::vector<Scheduler*> shards_;
     Options options_;
-    HorizonProvider horizon_provider_;
 
     std::mutex mailbox_mutex_;
     std::vector<Handoff> mailbox_;

@@ -171,5 +171,14 @@ TEST(App, SweepGridAcceptsShardsAxis)
     EXPECT_EQ(run_cli({"ezflow", "sweep", "islands", "--grid=bogus=1:2", "--quiet"}), 2);
 }
 
+TEST(App, MalformedFigureFlagIsAUsageError)
+{
+    // Figure-specific numeric flags parse strictly, like the core ones:
+    // no number at all and a trailing remainder are both usage errors
+    // (exit code 2), caught before any simulation runs.
+    EXPECT_EQ(run_cli({"ezflow", "run", "grid_cross", "--smoke", "--quiet", "--cols=abc"}), 2);
+    EXPECT_EQ(run_cli({"ezflow", "run", "grid_cross", "--smoke", "--quiet", "--cols=4x"}), 2);
+}
+
 }  // namespace
 }  // namespace ezflow::cli

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -22,7 +21,6 @@
 #include "net/shard_plan.h"
 #include "net/topo_gen.h"
 #include "phy/frame.h"
-#include "phy/models.h"
 #include "sim/scheduler.h"
 #include "sim/sharded_engine.h"
 #include "util/rng.h"
@@ -43,12 +41,16 @@ TEST(ShardPlanner, NoConflictEdgeCrossesShardsOn200RandomLayouts)
 {
     // Random scatters over a field wide enough to fragment into clusters:
     // whatever the layout, no two nodes within the conflict radius may
-    // land in different shards, and shard ids must be dense.
-    const phy::PhyParams phy;
-    const double radius = conflict_radius(phy);
+    // land in different shards, and shard ids must be dense. Every other
+    // trial widens interference past carrier sense, opening an
+    // interference-only band (550, 700] whose edges must not be cut
+    // either.
     util::Rng rng(0xA11CE5ULL);
     int multi_shard_layouts = 0;
     for (int trial = 0; trial < 200; ++trial) {
+        phy::PhyParams phy;
+        if (trial % 2 == 1) phy.interference_range_m = 700.0;
+        const double radius = conflict_radius(phy);
         const int nodes = rng.uniform_int(2, 60);
         const double width = rng.uniform_real(800.0, 12000.0);
         const double height = rng.uniform_real(800.0, 12000.0);
@@ -102,6 +104,16 @@ TEST(ShardPlanner, ConnectedGridCollapsesToOneShard)
     EXPECT_EQ(plan.shard_count, 1);
     EXPECT_EQ(plan.shard_of_node,
               std::vector<int>(static_cast<std::size_t>(grid.node_count()), 0));
+
+    // Clustered grids coupled only across an interference-only gap are
+    // still one conflict component: one shard, whatever the budget.
+    net::ClustersSpec spec;
+    spec.duration_s = 1.0;
+    spec.max_shards = 4;
+    const net::Scenario clusters = net::make_cluster_grid(spec, /*seed=*/1);
+    EXPECT_EQ(clusters.network->shard_count(), 1);
+    EXPECT_EQ(clusters.network->config().shard_plan.shard_count, 1);
+    EXPECT_EQ(clusters.network->node_count(), spec.clusters * spec.cols * spec.rows);
 }
 
 TEST(ShardPlanner, SeparatedIslandsSplitUpToTheBudget)
@@ -120,134 +132,6 @@ TEST(ShardPlanner, SeparatedIslandsSplitUpToTheBudget)
     EXPECT_EQ(capped.shard_count, 2);
     for (std::size_t i = 0; i < positions.size(); i += 2)
         EXPECT_EQ(capped.shard_of_node[i], capped.shard_of_node[i + 1]);
-}
-
-// ----------------------------------- connected-cut partitioner properties
-
-TEST(ShardPlanner, ConnectedCutPropertiesOn200RandomLayouts)
-{
-    // Widened interference opens an interference-only band (550, 700]:
-    // the planner may cut those edges, but it must never cut a
-    // sense/delivery edge, must register both endpoints of every cut
-    // edge for ghost mirroring, must keep the greedy balance bound, and
-    // must stay deterministic.
-    phy::PhyParams phy;
-    phy.interference_range_m = 700.0;
-    const double radius = conflict_radius(phy);
-    const double radius_hard = std::max(phy.tx_range_m, phy.cs_range_m);
-    util::Rng rng(0xB0B57ULL);
-    int cut_layouts = 0;
-    for (int trial = 0; trial < 200; ++trial) {
-        const int nodes = rng.uniform_int(2, 60);
-        const double width = rng.uniform_real(800.0, 9000.0);
-        const double height = rng.uniform_real(800.0, 9000.0);
-        std::vector<phy::Position> positions;
-        positions.reserve(static_cast<std::size_t>(nodes));
-        for (int i = 0; i < nodes; ++i)
-            positions.push_back({rng.uniform_real(0.0, width), rng.uniform_real(0.0, height)});
-        const int max_shards = rng.uniform_int(2, 8);
-        const net::ShardPlan plan = net::plan_shards(positions, phy, max_shards);
-        ASSERT_EQ(plan.shard_of_node.size(), positions.size());
-        ASSERT_GE(plan.shard_count, 1);
-        ASSERT_LE(plan.shard_count, max_shards);
-        if (plan.connected_cut) {
-            ASSERT_EQ(plan.boundary_nodes.size(), static_cast<std::size_t>(plan.shard_count));
-            ASSERT_EQ(plan.ghost_targets_of_node.size(), positions.size());
-        } else {
-            ASSERT_TRUE(plan.boundary_nodes.empty());
-            ASSERT_TRUE(plan.ghost_targets_of_node.empty());
-        }
-
-        bool saw_cut = false;
-        for (std::size_t a = 0; a < positions.size(); ++a) {
-            for (std::size_t b = a + 1; b < positions.size(); ++b) {
-                const double d = phy::distance(positions[a], positions[b]);
-                if (d > radius) continue;
-                const int sa = plan.shard_of_node[a];
-                const int sb = plan.shard_of_node[b];
-                if (d <= radius_hard) {
-                    ASSERT_EQ(sa, sb) << "trial " << trial << ": sense/delivery edge " << a
-                                      << "-" << b << " crosses shards";
-                } else if (sa != sb) {
-                    // A cut interference-only edge: both endpoints must be
-                    // wired for the ghost-mirror layer, in both directions.
-                    saw_cut = true;
-                    ASSERT_TRUE(plan.connected_cut);
-                    const auto& ba = plan.boundary_nodes[static_cast<std::size_t>(sa)];
-                    const auto& bb = plan.boundary_nodes[static_cast<std::size_t>(sb)];
-                    ASSERT_TRUE(std::binary_search(ba.begin(), ba.end(), static_cast<int>(a)));
-                    ASSERT_TRUE(std::binary_search(bb.begin(), bb.end(), static_cast<int>(b)));
-                    const auto& ga = plan.ghost_targets_of_node[a];
-                    const auto& gb = plan.ghost_targets_of_node[b];
-                    ASSERT_TRUE(std::binary_search(ga.begin(), ga.end(), sb));
-                    ASSERT_TRUE(std::binary_search(gb.begin(), gb.end(), sa));
-                }
-            }
-        }
-        EXPECT_EQ(plan.connected_cut, saw_cut) << "trial " << trial;
-
-        // Balance: neither greedy packing nor the KL refinement may
-        // spread the per-shard loads further apart than one largest
-        // sense/delivery component (the planner's atomic unit).
-        if (plan.shard_count > 1) {
-            std::vector<std::size_t> parent(positions.size());
-            for (std::size_t i = 0; i < parent.size(); ++i) parent[i] = i;
-            const auto find = [&parent](std::size_t x) {
-                while (parent[x] != x) x = parent[x] = parent[parent[x]];
-                return x;
-            };
-            for (std::size_t a = 0; a < positions.size(); ++a)
-                for (std::size_t b = a + 1; b < positions.size(); ++b)
-                    if (phy::distance(positions[a], positions[b]) <= radius_hard)
-                        parent[find(a)] = find(b);
-            std::vector<int> comp_size(positions.size(), 0);
-            int largest_unit = 0;
-            for (std::size_t i = 0; i < positions.size(); ++i)
-                largest_unit = std::max(largest_unit, ++comp_size[find(i)]);
-            std::vector<int> load(static_cast<std::size_t>(plan.shard_count), 0);
-            for (const int shard : plan.shard_of_node) ++load[static_cast<std::size_t>(shard)];
-            const auto [lo, hi] = std::minmax_element(load.begin(), load.end());
-            EXPECT_LE(*hi - *lo, largest_unit) << "trial " << trial;
-        }
-
-        // Deterministic: replanning reproduces the whole wiring.
-        const net::ShardPlan replan = net::plan_shards(positions, phy, max_shards);
-        ASSERT_EQ(replan.shard_of_node, plan.shard_of_node);
-        ASSERT_EQ(replan.connected_cut, plan.connected_cut);
-        ASSERT_EQ(replan.boundary_nodes, plan.boundary_nodes);
-        ASSERT_EQ(replan.ghost_targets_of_node, plan.ghost_targets_of_node);
-        if (plan.connected_cut) ++cut_layouts;
-    }
-    // The band is narrow, but 200 layouts must exercise real cuts, not
-    // pass vacuously.
-    EXPECT_GT(cut_layouts, 10);
-}
-
-TEST(ShardPlanner, ClusterGridCutsOneShardPerCluster)
-{
-    // The canned connected-cut topology: 4 grids linked only across an
-    // interference-only gap must split one shard per cluster, with every
-    // shard carrying boundary nodes on the facing rim columns.
-    net::ClustersSpec spec;
-    spec.duration_s = 1.0;
-    spec.max_shards = 4;
-    const net::Scenario scenario = net::make_cluster_grid(spec, /*seed=*/1);
-    const net::ShardPlan& plan = scenario.network->config().shard_plan;
-    EXPECT_TRUE(plan.connected_cut);
-    ASSERT_EQ(plan.shard_count, 4);
-    EXPECT_EQ(scenario.network->shard_count(), 4);
-    const int per_cluster = spec.cols * spec.rows;
-    for (int id = 0; id < scenario.network->node_count(); ++id)
-        EXPECT_EQ(plan.shard_of_node[static_cast<std::size_t>(id)], id / per_cluster);
-    for (const auto& boundary : plan.boundary_nodes) {
-        EXPECT_FALSE(boundary.empty());
-        EXPECT_TRUE(std::is_sorted(boundary.begin(), boundary.end()));
-    }
-    // Ghost targets only ever name the adjacent cluster(s): the gap plus
-    // one full cluster width is far beyond interference range.
-    for (int id = 0; id < scenario.network->node_count(); ++id)
-        for (const int target : plan.ghost_targets_of_node[static_cast<std::size_t>(id)])
-            EXPECT_EQ(std::abs(target - id / per_cluster), 1);
 }
 
 // ------------------------------------------------ ShardedEngine contract
@@ -364,82 +248,13 @@ TEST(ShardedRun, IslandsFigureJsonIsByteIdenticalAcrossShardsAndThreads)
     EXPECT_EQ(serial, run(4, 4));
 }
 
-analysis::ScenarioSpec clusters_scenario(int shards)
-{
-    net::ClustersSpec clusters;
-    clusters.duration_s = 4.0;
-    clusters.max_shards = shards;
-    return analysis::ScenarioSpec::clusters_spec(clusters);
-}
-
-TEST(ShardedRun, ClustersGhostMirroringMatchesSerialReference)
-{
-    // The connected-cut equivalence gate: a 4-cluster grid coupled only
-    // by cross-gap interference must produce identical radio/MAC/delivery
-    // dynamics whether it runs serial or cut into 4 shards with ghost
-    // mirroring — and the mirror layer must actually carry traffic, or
-    // the comparison is vacuous.
-    const auto run_with_shards = [](int shards, int* shard_count, std::uint64_t* handoffs) {
-        analysis::ExperimentFactory factory(clusters_scenario(shards),
-                                            analysis::ExperimentOptions{});
-        std::unique_ptr<analysis::Experiment> experiment = factory.make(/*seed=*/3);
-        experiment->run();
-        *shard_count = experiment->network().shard_count();
-        sim::ShardedEngine* engine = experiment->network().sharded_engine();
-        *handoffs = engine != nullptr ? engine->handoffs() : 0;
-        return experiment_fingerprint(*experiment, /*include_processed=*/false);
-    };
-    int serial_shards = 0;
-    int parallel_shards = 0;
-    std::uint64_t serial_handoffs = 0;
-    std::uint64_t parallel_handoffs = 0;
-    const auto serial = run_with_shards(1, &serial_shards, &serial_handoffs);
-    const auto sharded = run_with_shards(4, &parallel_shards, &parallel_handoffs);
-    EXPECT_EQ(serial_shards, 1);
-    EXPECT_EQ(parallel_shards, 4) << "the interference-only gap must actually be cut";
-    EXPECT_GT(parallel_handoffs, 0u) << "boundary transmissions must be ghost-mirrored";
-    EXPECT_EQ(serial, sharded);
-}
-
-TEST(ShardedRun, ClustersFigureJsonIsByteIdenticalAcrossShardsAndThreads)
-{
-    cli::register_builtin_figures();
-    const cli::FigureSpec* spec = cli::FigureRegistry::instance().find("grid_clusters");
-    ASSERT_NE(spec, nullptr);
-    const auto run = [spec](int shards, int threads) {
-        cli::FigureContext ctx;
-        ctx.spec = spec;
-        ctx.scale = 0.1;
-        ctx.seed = 7;
-        ctx.seeds = 2;
-        ctx.threads = threads;
-        ctx.shards = shards;
-        return spec->run(ctx).to_json().dump();
-    };
-    const std::string serial = run(1, 1);
-    EXPECT_FALSE(serial.empty());
-    EXPECT_EQ(serial, run(2, 1));
-    EXPECT_EQ(serial, run(4, 4));
-}
-
-TEST(ShardedRun, ConnectedCutRejectsNonReferencePhyModels)
-{
-    // Per-shard channel RNG streams only stay equivalent to the serial
-    // reference while no channel ever draws; installing a drawing model
-    // on a connected-cut network must refuse loudly.
-    analysis::ScenarioSpec spec = clusters_scenario(4);
-    spec.models.propagation = phy::PhyModelConfig::Propagation::kJakes;
-    spec.models.jakes_doppler_hz = 5.0;
-    analysis::ExperimentFactory factory(spec, analysis::ExperimentOptions{});
-    EXPECT_THROW(factory.make(/*seed=*/3), std::invalid_argument);
-}
-
 TEST(ShardedRun, ConnectedFiguresIgnoreTheShardBudget)
 {
-    // grid_cross / grid_gateway are connected: the planner must collapse
-    // them to one shard and the JSON must not move under --shards.
+    // grid_cross / grid_gateway / grid_clusters are connected: the planner
+    // must collapse them to one shard and the JSON must not move under
+    // --shards.
     cli::register_builtin_figures();
-    for (const char* name : {"grid_cross", "grid_gateway"}) {
+    for (const char* name : {"grid_cross", "grid_gateway", "grid_clusters"}) {
         const cli::FigureSpec* spec = cli::FigureRegistry::instance().find(name);
         ASSERT_NE(spec, nullptr) << name;
         const auto run = [spec](int shards) {
