@@ -220,17 +220,21 @@ BENCHMARK(BM_BackoffContention)
 
 void BM_FrameFanout(benchmark::State& state)
 {
-    // Per-receiver cost of fanning one transmission out to 64 signal-end
-    // events: construct, invoke and destroy the event batch. Arg(0)
-    // reproduces the pre-PR-5 shape — every per-receiver event captures
-    // the full Frame (payload Packet included, ~96 B) by value, which
-    // also overflows the EventFn inline buffer and heap-allocates per
-    // signal. Arg(1) is the single-copy pipeline — one pooled
-    // FrameRecord per transmission, every event captures a pointer-sized
-    // FrameRef and stays inline. The shared scheduler arena cost is kept
-    // out so the ratio isolates exactly what the fan-out refactor
-    // changed.
-    const bool single_copy = state.range(0) != 0;
+    // Per-receiver cost of fanning one transmission out to 64 receivers:
+    // construct, invoke and destroy the end events. Three shapes:
+    //  * Arg(0): one event per receiver, each capturing the full Frame
+    //    (payload Packet included, ~96 B) by value, which also overflows
+    //    the EventFn inline buffer and heap-allocates per signal.
+    //  * Arg(1): one event per receiver, each capturing a pointer-sized
+    //    FrameRef to one pooled FrameRecord (single copy, inline events).
+    //  * Arg(2): the shape Channel::transmit uses — one event per
+    //    transmission, capturing one FrameRef and walking a receiver list
+    //    that keeps its capacity across transmissions (as the pooled
+    //    record's does), so the fan-out costs no scheduler events at all.
+    // The shared scheduler arena cost is kept out so the ratios isolate
+    // the event shape; `events_per_tx` counts the events each shape
+    // hands the scheduler.
+    const int shape = static_cast<int>(state.range(0));
     constexpr int kReceivers = 64;
     phy::FramePool pool;
     phy::Frame proto;
@@ -239,36 +243,51 @@ void BM_FrameFanout(benchmark::State& state)
     proto.rx_node = 1;
     proto.has_packet = true;
     proto.packet = bench_packet(1);
-    std::uint64_t sink = 0;
+    std::vector<std::uint64_t> sinks(kReceivers, 0);
+    std::vector<std::uint64_t*> receivers;
     std::vector<sim::EventFn> batch;
     batch.reserve(kReceivers);
     const std::uint64_t copies_before = phy::Frame::copies();
+    std::uint64_t events = 0;
     bool inline_events = true;
     for (auto _ : state) {
-        if (single_copy) {
+        if (shape == 2) {
+            const phy::FrameRef ref = pool.make(phy::Frame(proto));
+            receivers.clear();
+            for (int r = 0; r < kReceivers; ++r)
+                receivers.push_back(&sinks[static_cast<std::size_t>(r)]);
+            batch.emplace_back([ref = ref, &receivers] {
+                for (std::uint64_t* sink : receivers)
+                    *sink += static_cast<std::uint64_t>(ref->packet.bytes);
+            });
+        } else if (shape == 1) {
             const phy::FrameRef ref = pool.make(phy::Frame(proto));
             for (int r = 0; r < kReceivers; ++r)
-                batch.emplace_back([ref = ref, &sink] {
-                    sink += static_cast<std::uint64_t>(ref->packet.bytes);
+                batch.emplace_back([ref = ref, sink = &sinks[static_cast<std::size_t>(r)]] {
+                    *sink += static_cast<std::uint64_t>(ref->packet.bytes);
                 });
         } else {
             for (int r = 0; r < kReceivers; ++r)
-                batch.emplace_back([frame = proto, &sink] {
-                    sink += static_cast<std::uint64_t>(frame.packet.bytes);
+                batch.emplace_back([frame = proto, sink = &sinks[static_cast<std::size_t>(r)]] {
+                    *sink += static_cast<std::uint64_t>(frame.packet.bytes);
                 });
         }
         inline_events = inline_events && batch.front().is_inline();
+        events += batch.size();
         for (sim::EventFn& event : batch) event();
         batch.clear();
     }
-    benchmark::DoNotOptimize(sink);
+    benchmark::DoNotOptimize(sinks.data());
     state.SetItemsProcessed(state.iterations() * kReceivers);
+    const auto per_tx = [&](double total) {
+        return benchmark::Counter(total / static_cast<double>(state.iterations()));
+    };
     state.counters["frame_copies_per_tx"] =
-        benchmark::Counter(static_cast<double>(phy::Frame::copies() - copies_before) /
-                           static_cast<double>(state.iterations()));
+        per_tx(static_cast<double>(phy::Frame::copies() - copies_before));
+    state.counters["events_per_tx"] = per_tx(static_cast<double>(events));
     state.counters["inline_events"] = benchmark::Counter(inline_events ? 1.0 : 0.0);
 }
-BENCHMARK(BM_FrameFanout)->Arg(0)->Arg(1);
+BENCHMARK(BM_FrameFanout)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_SaturatedSource(benchmark::State& state)
 {
@@ -307,7 +326,9 @@ void BM_ChannelFanout(benchmark::State& state)
 {
     // Per-transmission delivery cost vs node count on a 200 m-spaced line:
     // carrier sense reaches ~2 hops either side, so the reachability cull
-    // keeps the cost flat as the line grows.
+    // keeps the cost flat as the line grows. Each transmission costs one
+    // scheduler event — its end event fires every receiver's signal end
+    // and then the sender's tx end — which `events_per_tx` reports.
     const int nodes = static_cast<int>(state.range(0));
     sim::Scheduler scheduler;
     phy::Channel channel(scheduler, util::Rng(7), phy::PhyParams{});
@@ -323,9 +344,11 @@ void BM_ChannelFanout(benchmark::State& state)
     frame.packet = bench_packet(1);
     for (auto _ : state) {
         phys[static_cast<std::size_t>(nodes) / 2]->start_tx(frame);
-        scheduler.run();  // drain the signal-end and tx-end events
+        scheduler.run();  // drain the transmission's end event
     }
     state.SetItemsProcessed(state.iterations());
+    state.counters["events_per_tx"] = benchmark::Counter(
+        static_cast<double>(scheduler.processed()) / static_cast<double>(state.iterations()));
     state.counters["reachable"] = benchmark::Counter(
         static_cast<double>(channel.reachable_count(static_cast<net::NodeId>(nodes / 2))));
 }

@@ -1,9 +1,7 @@
 #include "net/shard_plan.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -113,30 +111,18 @@ ShardPlan plan_shards(const std::vector<phy::Position>& positions, const phy::Ph
     const double radius = phy.conflict_radius_m();
     if (!(radius > 0.0)) throw std::invalid_argument("plan_shards: conflict radius must be > 0");
 
-    // Spatial hash with cell size = conflict radius: any pair within the
-    // radius lives in the same or an adjacent cell, so scanning each
-    // node's 3x3 neighborhood visits every conflict edge in O(n)
-    // expected time.
-    const auto cell_of = [radius](const phy::Position& p) {
-        return std::pair<std::int64_t, std::int64_t>(
-            static_cast<std::int64_t>(std::floor(p.x / radius)),
-            static_cast<std::int64_t>(std::floor(p.y / radius)));
-    };
-    std::map<std::pair<std::int64_t, std::int64_t>, std::vector<int>> cells;
-    for (int i = 0; i < n; ++i) cells[cell_of(positions[i])].push_back(i);
-
+    // Cell index over the conflict radius: each node's 3x3 block of
+    // cells holds every node within the radius, so the union pass visits
+    // every conflict edge in O(n) expected time.
+    const phy::CellIndex index(positions, radius);
+    std::vector<std::size_t> candidates;
     UnionFind conflict(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
-        const auto [cx, cy] = cell_of(positions[i]);
-        for (std::int64_t dx = -1; dx <= 1; ++dx) {
-            for (std::int64_t dy = -1; dy <= 1; ++dy) {
-                const auto neighbour = cells.find({cx + dx, cy + dy});
-                if (neighbour == cells.end()) continue;
-                for (int j : neighbour->second) {
-                    if (j <= i) continue;  // each pair once
-                    if (phy::distance(positions[i], positions[j]) <= radius) conflict.unite(i, j);
-                }
-            }
+        const phy::Position& p = positions[static_cast<std::size_t>(i)];
+        index.candidates(p, candidates);
+        for (const std::size_t j : candidates) {
+            if (j <= static_cast<std::size_t>(i)) continue;  // each pair once
+            if (phy::distance(p, positions[j]) <= radius) conflict.unite(i, static_cast<int>(j));
         }
     }
 

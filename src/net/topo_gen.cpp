@@ -85,19 +85,17 @@ bool Topology::has_link(NodeId a, NodeId b) const
 
 void rebuild_links(Topology& topo)
 {
-    const int n = topo.node_count();
-    topo.neighbours.assign(static_cast<std::size_t>(n), {});
-    for (int a = 0; a < n; ++a) {
-        for (int b = a + 1; b < n; ++b) {
-            if (phy::distance(topo.positions[static_cast<std::size_t>(a)],
-                              topo.positions[static_cast<std::size_t>(b)]) <= topo.link_range_m) {
-                topo.neighbours[static_cast<std::size_t>(a)].push_back(b);
-                topo.neighbours[static_cast<std::size_t>(b)].push_back(a);
-            }
-        }
+    const std::size_t n = topo.positions.size();
+    topo.neighbours.assign(n, {});
+    const phy::CellIndex index(topo.positions, topo.link_range_m);
+    std::vector<std::size_t> candidates;
+    for (std::size_t a = 0; a < n; ++a) {
+        // Candidates arrive ascending, so every list is sorted.
+        index.candidates(topo.positions[a], candidates);
+        for (const std::size_t b : candidates)
+            if (b != a && phy::distance(topo.positions[a], topo.positions[b]) <= topo.link_range_m)
+                topo.neighbours[a].push_back(static_cast<NodeId>(b));
     }
-    // b-loop order already appends ascending ids for the lower endpoint;
-    // the mirrored entries arrive ascending in a too, so lists stay sorted.
 }
 
 Topology make_grid_topology(int cols, int rows, double spacing_m)

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "phy/geometry.h"
+
 namespace ezflow::phy {
 
 Channel::Channel(sim::Scheduler& scheduler, util::Rng rng, PhyParams params)
@@ -88,13 +90,24 @@ void Channel::ensure_reach()
 {
     if (reach_.size() == phys_.size()) return;
     const bool static_power = propagation_ == nullptr || propagation_->time_invariant();
+    const double radius = params_.conflict_radius_m();
+    std::vector<Position> positions;
+    positions.reserve(phys_.size());
+    for (const NodePhy* phy : phys_) positions.push_back(phy->position());
+    // Candidates arrive in ascending attach index, so each list keeps the
+    // order (and, with the same filter, the contents) of a scan over
+    // every attached PHY.
+    const CellIndex index(positions, radius);
+    std::vector<std::size_t> candidates;
     reach_.assign(phys_.size(), {});
     for (std::size_t s = 0; s < phys_.size(); ++s) {
         const NodePhy& sender = *phys_[s];
-        for (NodePhy* phy : phys_) {
+        index.candidates(positions[s], candidates);
+        for (const std::size_t c : candidates) {
+            NodePhy* phy = phys_[c];
             if (phy == &sender) continue;
             const double d = distance(sender.position(), phy->position());
-            if (d > params_.conflict_radius_m()) continue;
+            if (d > radius) continue;
             // Time-variant propagation (fading) re-derives power at
             // transmit time from the stored distance; otherwise the power
             // is precomputed here, once per topology.
@@ -141,19 +154,44 @@ double Channel::sample_link_loss(net::NodeId tx, net::NodeId rx)
     return (*model)->loss_probability(scheduler_.now(), rng_);
 }
 
+void Channel::end_transmission(FrameRecord& record)
+{
+    // One end event normally covers every receiver and then the sender;
+    // a split (see transmit) stops this event early and leaves the rest
+    // to the next one.
+    const std::size_t count = record.receivers_.size();
+    const std::size_t stop =
+        record.next_split_ < record.splits_.size() ? record.splits_[record.next_split_++] : count;
+    while (record.next_receiver_ < stop) {
+        NodePhy* phy = record.receivers_[record.next_receiver_++];
+        phy->signal_end(record.signal_id_, record.frame_);
+    }
+    if (stop == count) record.sender_->tx_end(record.frame_);
+}
+
+void Channel::schedule_end_event(SimTime at, const FrameRef& ref)
+{
+    scheduler_.schedule_at(at, [ref] { end_transmission(*ref.record_); });
+}
+
 void Channel::transmit(NodePhy& sender, Frame frame)
 {
-    const SimTime duration = params_.tx_duration(frame);
+    const SimTime end_at = scheduler_.now() + params_.tx_duration(frame);
     const std::uint64_t signal_id = next_signal_id_++;
     ++transmissions_;
     if (frame.type == FrameType::kData) ++data_transmissions_;
 
-    // Single-copy fan-out: the frame moves into one pooled record and
-    // every per-receiver signal-end (plus the sender's tx-end) captures a
-    // pointer-sized handle, so the events stay in the scheduler's inline
-    // buffer and fan-out cost is O(receivers) pointer copies.
-    const FrameRef record = frame_pool_.make(std::move(frame));
-    const Frame& shared = *record;
+    // Single-copy fan-out: the frame moves into one pooled record that
+    // also lists the receivers, and a single end event — capturing one
+    // pointer-sized handle, so it stays in the scheduler's inline buffer
+    // — fires every receiver's signal_end in fan-out order and then the
+    // sender's tx_end. The record, not reach_, owns the list: attach and
+    // detach may rebuild reach_ while the frame is on the air.
+    const FrameRef ref = frame_pool_.make(std::move(frame));
+    FrameRecord& record = *ref.record_;
+    record.sender_ = &sender;
+    record.signal_id_ = signal_id;
+    const Frame& shared = record.frame_;
 
     const bool sinr = interference_ == PhyModelConfig::Interference::kSinrLedger;
     const double threshold = frame_capture_threshold(shared);
@@ -188,9 +226,32 @@ void Channel::transmit(NodePhy& sender, Frame frame)
                 rx.error = rng_.bernoulli(sample_link_loss(sender.id(), phy->id()));
             }
         }
+        const std::uint64_t mark = scheduler_.next_event_seq();
         phy->signal_start(rx);
-        scheduler_.schedule_in(
-            duration, [phy, signal_id, ref = record] { phy->signal_end(signal_id, *ref); });
+        // Ordering. The goldens pin one end per receiver, each scheduled
+        // right after that receiver's signal_start, with the sender's
+        // tx_end last; same-instant events fire FIFO. The first end event
+        // takes the first receiver's place and fires the receivers in the
+        // same order, so the two agree unless a signal_start schedules an
+        // event for exactly end_at, which must fire between the previous
+        // receiver's end and this one's. Such an event exists:
+        // signal_start's busy edge (update_busy -> phy_busy_changed(true))
+        // freezes a contending DCF, and the freeze re-aims the shared
+        // ContentionCoordinator timer at the next registrant's stage or
+        // expiry, which can equal end_at. The re-aim waits while a
+        // coordinator expiry is transmitting, but a SIFS-timed ACK, CTS or
+        // data-after-CTS re-aims at once (ACKs in the --smoke suite hit
+        // this). So it is ordered explicitly: when one appears, the
+        // current end event stops before this receiver and a new one,
+        // scheduled after the intruder, takes the rest. No event runs
+        // between the mark and the check, so every intruder is seen.
+        if (record.receivers_.empty()) {
+            schedule_end_event(end_at, ref);
+        } else if (scheduler_.scheduled_since(mark, end_at)) {
+            record.splits_.push_back(static_cast<std::uint32_t>(record.receivers_.size()));
+            schedule_end_event(end_at, ref);
+        }
+        record.receivers_.push_back(phy);
     };
 
     if (cull_enabled_) {
@@ -215,8 +276,7 @@ void Channel::transmit(NodePhy& sender, Frame frame)
                     link_power(sender.id(), phy->id(), d));
         }
     }
-    scheduler_.schedule_in(duration,
-                           [phy = &sender, ref = record] { phy->tx_end(*ref); });
+    if (record.receivers_.empty()) schedule_end_event(end_at, ref);  // tx_end alone
 }
 
 }  // namespace ezflow::phy

@@ -20,9 +20,10 @@ namespace ezflow::phy {
 /// The shared wireless medium. Dispatches every transmission to the nodes
 /// within carrier-sense or interference range, decides decodability per
 /// receiver (delivery range + per-link error model roll) and schedules
-/// signal-end events. The channel never filters by MAC address — everyone
-/// in range hears everything, which is exactly the property EZ-Flow's BOE
-/// exploits.
+/// the transmission's end: one event that ends the signal at every
+/// receiver, then the sender's transmission. The channel never filters
+/// by MAC address — everyone in range hears everything, which is exactly
+/// the property EZ-Flow's BOE exploits.
 ///
 /// The physics is pluggable behind three model interfaces, installed via
 /// `set_models` / the individual setters:
@@ -48,7 +49,9 @@ namespace ezflow::phy {
 /// and the per-link loss rolls are drawn for exactly the same receivers as
 /// the full broadcast would (out-of-range nodes never drew), so the Rng
 /// stream and all outcomes are identical while per-transmission cost
-/// drops from O(nodes) to O(reachable neighbours).
+/// drops from O(nodes) to O(reachable neighbours). The sets themselves
+/// are built through a CellIndex (geometry.h), O(nodes x neighbours)
+/// rather than O(nodes^2).
 class Channel {
 public:
     Channel(sim::Scheduler& scheduler, util::Rng rng, PhyParams params);
@@ -62,9 +65,10 @@ public:
 
     /// Remove a PHY from the medium (node death). The reachability cache
     /// is invalidated symmetrically with attach — a same-size detach +
-    /// attach cycle can never serve stale sets — and signal-end events
-    /// already in flight keep their pooled frame references, so they
-    /// drain without touching the channel. Throws if not attached.
+    /// attach cycle can never serve stale sets — and end events already
+    /// in flight keep their pooled frame records, which list their own
+    /// receivers, so they drain without touching the channel. Throws if
+    /// not attached.
     void detach(NodePhy& phy);
 
     /// Whether this PHY is currently attached to the medium.
@@ -113,7 +117,10 @@ public:
 
     /// Broadcast a frame from `sender`. Called by NodePhy::start_tx.
     /// Takes the frame by value: it is moved into a pooled FrameRecord
-    /// shared by every receiver's signal-end event (single-copy fan-out).
+    /// (single-copy fan-out) together with the receiver list. One event at
+    /// the frame's end calls signal_end on every receiver in fan-out order
+    /// and then the sender's tx_end — the same order one event per
+    /// receiver would fire in (see the ordering note in transmit).
     void transmit(NodePhy& sender, Frame frame);
 
     /// Rate for the next data attempt on tx -> rx (0 = PHY default).
@@ -171,6 +178,13 @@ private:
 
     /// Rebuild the per-transmitter reachability sets when stale.
     void ensure_reach();
+
+    /// A transmission's end event: signal_end on the record's next run of
+    /// receivers, then (after the last run) tx_end on the sender. Static:
+    /// the event must not touch the channel, which may be gone.
+    static void end_transmission(FrameRecord& record);
+    /// Schedule one end event for `ref`'s transmission at `at`.
+    void schedule_end_event(SimTime at, const FrameRef& ref);
 
     sim::Scheduler& scheduler_;
     util::Rng rng_;

@@ -9,16 +9,20 @@
 namespace ezflow::phy {
 
 class FramePool;
+class NodePhy;
 
-/// One transmission's immutable on-air frame. Allocated once per
-/// Channel::transmit and shared — via FrameRef handles small enough for
-/// the scheduler's inline event buffer — by every receiver's signal-end
-/// event plus the sender's tx-end, so the per-receiver fan-out copies
-/// pointers instead of Frame+Packet payloads. Records are recycled
-/// through the owning FramePool when the last handle releases. An
-/// aggregated frame's MPDU subframe vector lives inside the pooled Frame,
-/// so a whole A-MPDU batch still costs one record per transmission — the
-/// single-copy pipeline is per PPDU, not per MSDU.
+/// One transmission's immutable on-air frame plus its fan-out. Allocated
+/// once per Channel::transmit and shared — via FrameRef handles small
+/// enough for the scheduler's inline event buffer — by the
+/// transmission's end event, which fires every receiver's signal end and
+/// then the sender's tx end, so the fan-out copies pointers instead of
+/// Frame+Packet payloads and costs one scheduler event per frame.
+/// Records are recycled through the owning FramePool when the last
+/// handle releases; the receiver list keeps its capacity across reuse,
+/// so steady state allocates nothing. An aggregated frame's MPDU
+/// subframe vector lives inside the pooled Frame, so a whole A-MPDU
+/// batch still costs one record per transmission — the single-copy
+/// pipeline is per PPDU, not per MSDU.
 class FrameRecord {
 public:
     const Frame& frame() const { return frame_; }
@@ -26,12 +30,26 @@ public:
 private:
     friend class FramePool;
     friend class FrameRef;
+    friend class Channel;
 
     Frame frame_{};
+    // --- the end event's state, written by Channel::transmit ---
+    NodePhy* sender_ = nullptr;
+    std::uint64_t signal_id_ = 0;
+    /// Receivers in fan-out (attach) order. Owned here rather than read
+    /// from the channel's reach sets, which attach/detach may rebuild
+    /// while the frame is in flight.
+    std::vector<NodePhy*> receivers_;
+    /// Receiver indices that open a further end event (see
+    /// Channel::transmit); empty in the common single-event case.
+    std::vector<std::uint32_t> splits_;
+    std::uint32_t next_receiver_ = 0;
+    std::uint32_t next_split_ = 0;
+
     std::uint32_t refs_ = 0;
     /// Owning pool, or nullptr when the pool was destroyed first (the
-    /// scheduler can outlive the channel with signal-end events still
-    /// pending); an orphaned record self-deletes at the last release.
+    /// scheduler can outlive the channel with end events still pending);
+    /// an orphaned record self-deletes at the last release.
     FramePool* pool_ = nullptr;
 };
 
@@ -69,6 +87,7 @@ public:
 
 private:
     friend class FramePool;
+    friend class Channel;
     explicit FrameRef(FrameRecord* record) : record_(record) { acquire(); }
 
     void acquire()
@@ -82,7 +101,8 @@ private:
 
 /// Free-list pool of FrameRecords. Steady state performs no heap
 /// allocation per transmission: the pool grows to the peak number of
-/// concurrently in-flight signals (a handful) and recycles from there.
+/// concurrently in-flight transmissions (a handful) and recycles from
+/// there.
 class FramePool {
 public:
     FramePool() = default;
@@ -95,8 +115,8 @@ public:
             if (record->refs_ == 0) {
                 delete record;
             } else {
-                // Still referenced by pending scheduler events (mid-flight
-                // signal ends): orphan it; the last FrameRef deletes it.
+                // Still referenced by a pending end event (a frame still
+                // on the air): orphan it; the last FrameRef deletes it.
                 record->pool_ = nullptr;
             }
         }
@@ -118,6 +138,10 @@ public:
             ++created_;
         }
         record->frame_ = std::move(frame);
+        record->receivers_.clear();
+        record->splits_.clear();
+        record->next_receiver_ = 0;
+        record->next_split_ = 0;
         return FrameRef(record);
     }
 

@@ -174,7 +174,7 @@ private:
     bool last_busy_ = false;
     bool powered_ = true;
     /// Set once the PHY has ever been power-cycled: from then on, stale
-    /// signal-end/tx-end events referring to wiped state are silently
+    /// signal_end/tx_end calls referring to wiped state are silently
     /// ignored rather than treated as scheduler-integrity violations.
     bool power_cycled_ = false;
 

@@ -55,6 +55,17 @@ EventId Scheduler::schedule_in(SimTime delay, EventFn action)
     return schedule_at(now_ + delay, std::move(action));
 }
 
+bool Scheduler::scheduled_since(std::uint64_t seq, SimTime at) const
+{
+    // Staging is appended in seq order (compaction keeps that order) and
+    // only a pop flushes it, so the records since `seq` are its tail.
+    for (auto it = staging_.rbegin(); it != staging_.rend() && it->seq >= seq; ++it) {
+        const Slot& slot = slots_[it->slot];
+        if (it->at == at && slot.armed && slot.gen == it->gen) return true;
+    }
+    return false;
+}
+
 bool Scheduler::cancel(EventId id)
 {
     if (!id.valid() || id.slot >= slots_.size()) return false;

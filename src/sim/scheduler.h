@@ -89,6 +89,15 @@ public:
     /// exactly against real events by snapshotting this.
     std::uint64_t next_event_seq() const { return next_seq_; }
 
+    /// Whether a still-pending event for exactly `at` was scheduled with a
+    /// sequence number >= `seq`, a value read from next_event_seq()
+    /// earlier in the same handler (no event may run in between). Lets a
+    /// caller that folds several same-instant actions into one event
+    /// detect a same-instant event scheduled between them, which the
+    /// unfolded form would have fired in the middle. O(events scheduled
+    /// since `seq`): they all still sit in the staging buffer.
+    bool scheduled_since(std::uint64_t seq, SimTime at) const;
+
     // --- introspection (tests and micro-benchmarks) ---
     /// Total slots ever allocated in the arena (live + recyclable).
     std::size_t arena_slots() const { return slots_.size(); }

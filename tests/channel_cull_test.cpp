@@ -14,6 +14,7 @@
 #include "analysis/experiment.h"
 #include "analysis/experiment_factory.h"
 #include "experiment_fingerprint.h"
+#include "neighbour_oracle.h"
 #include "net/network.h"
 #include "net/topo_gen.h"
 #include "net/topologies.h"
@@ -187,6 +188,28 @@ TEST(ChannelCull, ReachableSetsMatchGeometry)
         }
         EXPECT_EQ(bed.channel.reachable_count(static_cast<net::NodeId>(tx)), expected)
             << "tx " << tx;
+    }
+}
+
+TEST(ChannelCull, CellIndexedReachSetsMatchBruteForceOracle)
+{
+    // The reach build queries a cell index; every set must hold exactly
+    // the nodes the O(N^2) oracle finds within the conflict radius —
+    // boundary pairs at exactly the radius, negative coordinates and
+    // co-located nodes included. The cull only ever skips nodes outside
+    // the radius, so equal sizes mean equal sets.
+    for (const testutil::OracleLayout& layout : testutil::oracle_layouts()) {
+        PhyParams params;
+        params.tx_range_m = layout.radius / 2;
+        params.cs_range_m = layout.radius;
+        params.interference_range_m = layout.radius;
+        CullBed bed(params);
+        for (const Position& p : layout.points) bed.add(p.x, p.y);
+        const auto expected = testutil::brute_force_neighbours(layout.points, layout.radius);
+        for (std::size_t tx = 0; tx < expected.size(); ++tx)
+            EXPECT_EQ(bed.channel.reachable_count(static_cast<net::NodeId>(tx)),
+                      expected[tx].size())
+                << layout.name << " tx " << tx;
     }
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "phy/channel.h"
@@ -393,7 +396,7 @@ TEST(Channel, FramePoolSharesOneRecordOnBroadcastPath)
 {
     // Cull disabled (reference full-broadcast scan) with a lossy Gilbert
     // link in the fan-out: still one record per transmission, released
-    // when the last signal end fires.
+    // when its end event fires.
     TestBed bed;
     bed.channel.set_reachability_cull(false);
     bed.channel.set_link_error_model(0, 1, make_gilbert(GilbertParams{1.0, 1.0, 0.0, 1.0}));
@@ -402,17 +405,17 @@ TEST(Channel, FramePoolSharesOneRecordOnBroadcastPath)
     bed.add(400);
     a.start_tx(data_frame(0, 1));
     EXPECT_EQ(bed.channel.frame_pool().created(), 1u);
-    EXPECT_EQ(bed.channel.frame_pool().live(), 1u);  // signal ends pending
+    EXPECT_EQ(bed.channel.frame_pool().live(), 1u);  // end event pending
     bed.scheduler.run();
     EXPECT_EQ(bed.channel.frame_pool().live(), 0u);
 }
 
 TEST(Channel, MidFlightRecordsSurviveChannelDestruction)
 {
-    // The scheduler can outlive the channel with signal-end events still
+    // The scheduler can outlive the channel with an end event still
     // pending (Network destroys members in reverse order). The pending
-    // FrameRefs must keep their orphaned records alive and free them when
-    // the events are destroyed — ASan runs of this test pin the lifetime
+    // FrameRef must keep its orphaned record alive and free it when the
+    // event is destroyed — ASan runs of this test pin the lifetime
     // down.
     sim::Scheduler scheduler;
     std::vector<std::unique_ptr<NodePhy>> phys;
@@ -428,6 +431,170 @@ TEST(Channel, MidFlightRecordsSurviveChannelDestruction)
     }
     EXPECT_GT(scheduler.pending(), 0u);
     // Scheduler destruction releases the orphaned record via the last ref.
+}
+
+// ----------------------------------------- one end event per transmission
+
+/// Appends "<node>:<callback>" to a log shared by every node, so tests can
+/// check the order of callbacks across nodes.
+class LoggingListener final : public PhyListener {
+public:
+    LoggingListener(net::NodeId id, std::vector<std::string>& log)
+        : name_(std::to_string(id)), log_(log)
+    {
+    }
+
+    void phy_busy_changed(bool busy) override
+    {
+        log_.push_back(name_ + (busy ? ":busy" : ":idle"));
+    }
+    void phy_frame_decoded(const Frame& frame) override
+    {
+        log_.push_back(name_ + ":decoded<" + std::to_string(frame.tx_node));
+    }
+    void phy_tx_done(const Frame&) override { log_.push_back(name_ + ":tx_done"); }
+
+private:
+    std::string name_;
+    std::vector<std::string>& log_;
+};
+
+TEST(Channel, SameInstantSendersEndInTransmitOrder)
+{
+    // A(0) and B(300) start equal-airtime frames in the same instant; R1
+    // (100) and R2 (150) hear both. R1 holds A's frame by capture (SIR
+    // (200/100)^4 = 16 > 10) and decodes it; R2 sits halfway (SIR 1) and
+    // loses it. A's end event — R1, R2, B, then A's tx_end — fires
+    // entirely before B's, one scheduler event per frame.
+    TestBed bed;
+    NodePhy& a = bed.add(0);
+    bed.add(100);
+    bed.add(150);
+    NodePhy& b = bed.add(300);
+    std::vector<std::string> log;
+    std::vector<std::unique_ptr<LoggingListener>> loggers;
+    for (const auto& phy : bed.phys) {
+        loggers.push_back(std::make_unique<LoggingListener>(phy->id(), log));
+        phy->set_listener(loggers.back().get());
+    }
+    a.start_tx(data_frame(0, 1));
+    b.start_tx(data_frame(3, 2));
+    log.clear();
+    bed.scheduler.run();
+
+    // A's end event (R1 decodes A's frame, A's tx_end), then B's (A, R1
+    // and R2 go idle, B's tx_end).
+    const std::vector<std::string> expected = {"1:decoded<0", "0:tx_done", "0:idle", "1:idle",
+                                               "2:idle",      "3:idle",    "3:tx_done"};
+    EXPECT_EQ(log, expected);
+    EXPECT_EQ(bed.scheduler.processed(), 2u);
+    EXPECT_EQ(bed.phys[1]->frames_decoded(), 1u);
+    EXPECT_EQ(bed.phys[1]->frames_corrupted(), 0u);
+    EXPECT_EQ(bed.phys[1]->frames_missed_busy(), 1u);  // B's frame, while locked on A's
+    EXPECT_EQ(bed.phys[2]->frames_decoded(), 0u);
+    EXPECT_EQ(bed.phys[2]->frames_corrupted(), 1u);
+    EXPECT_EQ(bed.phys[2]->frames_missed_busy(), 1u);
+    EXPECT_EQ(a.frames_missed_busy() + b.frames_missed_busy(), 0u);  // 300 m: sensed only
+    EXPECT_EQ(bed.channel.frame_pool().created(), 2u);
+    EXPECT_EQ(bed.channel.frame_pool().live(), 0u);
+}
+
+TEST(Channel, EndEventDrainsPastPoweredOffAndDetachedReceivers)
+{
+    // Mid-frame, R1 loses power, R2 is detached, and a far node C
+    // transmits, which rebuilds the channel's reach sets while A's frame
+    // is still on the air. A's end event works from its own receiver
+    // list: R1's end is a tolerated no-op (its radio was wiped), R2 (its
+    // state intact, just off the medium) and R3 decode, and A's tx_end
+    // fires — no logic_error.
+    TestBed bed;
+    NodePhy& a = bed.add(0);
+    NodePhy& r1 = bed.add(100);
+    NodePhy& r2 = bed.add(200);
+    bed.add(150, 100);
+    NodePhy& c = bed.add(5000);
+    a.start_tx(data_frame(0, 1));
+    const SimTime half = bed.params.tx_duration(data_frame(0, 1)) / 2;
+    bed.scheduler.schedule_at(half, [&] {
+        r1.power_off();
+        bed.channel.detach(r2);
+        c.start_tx(data_frame(4, 0));
+    });
+    EXPECT_NO_THROW(bed.scheduler.run());
+
+    EXPECT_EQ(r1.frames_decoded() + r1.frames_corrupted(), 0u);
+    EXPECT_TRUE(bed.listener(1).decoded.empty());
+    EXPECT_EQ(r2.frames_decoded(), 1u);
+    EXPECT_EQ(bed.listener(2).decoded.size(), 1u);
+    EXPECT_EQ(bed.phys[3]->frames_decoded(), 1u);
+    EXPECT_EQ(bed.listener(0).tx_done.size(), 1u);
+    EXPECT_EQ(bed.listener(4).tx_done.size(), 1u);  // no receivers: tx_end alone
+    EXPECT_FALSE(a.busy());
+    EXPECT_EQ(bed.scheduler.processed(), 3u);  // A's end, the fault, C's end
+    EXPECT_EQ(bed.channel.frame_pool().live(), 0u);
+}
+
+TEST(Channel, FramePoolReachesSteadyStateReuse)
+{
+    // Two far-apart senders transmit in the same instant, ten times: the
+    // pool grows to the peak of two concurrent records and then only
+    // recycles them (receiver lists included).
+    TestBed bed;
+    NodePhy& a = bed.add(0);
+    bed.add(100);
+    NodePhy& b = bed.add(5000);
+    bed.add(5100);
+    for (int round = 0; round < 10; ++round) {
+        a.start_tx(data_frame(0, 1));
+        b.start_tx(data_frame(2, 3));
+        bed.scheduler.run();
+    }
+    EXPECT_EQ(bed.channel.frame_pool().created(), 2u);
+    EXPECT_EQ(bed.channel.frame_pool().reused(), 18u);
+    EXPECT_EQ(bed.channel.frame_pool().live(), 0u);
+    EXPECT_EQ(bed.listener(1).decoded.size(), 10u);
+    EXPECT_EQ(bed.listener(3).decoded.size(), 10u);
+}
+
+/// Calls `on_busy` on every idle -> busy edge.
+class BusyHookListener final : public PhyListener {
+public:
+    std::function<void()> on_busy;
+
+    void phy_busy_changed(bool busy) override
+    {
+        if (busy && on_busy) on_busy();
+    }
+    void phy_frame_decoded(const Frame&) override {}
+    void phy_tx_done(const Frame&) override {}
+};
+
+TEST(Channel, SameInstantEventFromBusyCascadeKeepsReceiverOrder)
+{
+    // R2's busy edge schedules a probe for exactly the frame's end. One
+    // event per receiver would have fired R1's end, then the probe, then
+    // R2's and R3's ends and A's tx_end; the folded end event must split
+    // around the probe to keep that order.
+    TestBed bed;
+    NodePhy& a = bed.add(0);
+    NodePhy& r1 = bed.add(100);
+    NodePhy& r2 = bed.add(150);
+    NodePhy& r3 = bed.add(200);
+    const SimTime end = bed.params.tx_duration(data_frame(0, 1));
+    std::vector<bool> seen;  // r1 busy, r2 busy, r3 busy, a transmitting
+    BusyHookListener hook;
+    hook.on_busy = [&] {
+        bed.scheduler.schedule_at(
+            end, [&] { seen = {r1.busy(), r2.busy(), r3.busy(), a.transmitting()}; });
+    };
+    r2.set_listener(&hook);
+    a.start_tx(data_frame(0, 1));
+    bed.scheduler.run();
+
+    EXPECT_EQ(seen, (std::vector<bool>{false, true, true, true}));
+    EXPECT_EQ(bed.scheduler.processed(), 3u);  // two end events + the probe
+    EXPECT_EQ(r1.frames_decoded() + r2.frames_decoded() + r3.frames_decoded(), 3u);
+    EXPECT_EQ(bed.channel.frame_pool().live(), 0u);
 }
 
 TEST(Channel, TransmissionCountersTrackTypes)

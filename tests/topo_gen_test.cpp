@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "net/network.h"
+#include "net/shard_plan.h"
+#include "neighbour_oracle.h"
 #include "phy/geometry.h"
 #include "util/rng.h"
 
@@ -92,6 +94,34 @@ TEST(TopoGen, GridNeighbourSetsMatchBruteForce)
                                          (col + 1 < cols));
             EXPECT_EQ(topo.neighbours[static_cast<std::size_t>(a)].size(), lattice_degree);
         }
+    }
+}
+
+TEST(TopoGen, CellIndexedQueriesMatchBruteForceOracle)
+{
+    // rebuild_links and plan_shards query neighbours through the shared
+    // cell index; both must agree with the O(N^2) oracle everywhere,
+    // including pairs at exactly the radius on a cell boundary.
+    for (const testutil::OracleLayout& layout : testutil::oracle_layouts()) {
+        Topology topo;
+        topo.positions = layout.points;
+        topo.link_range_m = layout.radius;
+        rebuild_links(topo);
+        const auto expected = testutil::brute_force_neighbours(layout.points, layout.radius);
+        ASSERT_EQ(topo.neighbours.size(), expected.size()) << layout.name;
+        for (std::size_t a = 0; a < expected.size(); ++a)
+            EXPECT_EQ(topo.neighbours[a], expected[a]) << layout.name << " node " << a;
+
+        phy::PhyParams phy;
+        phy.tx_range_m = layout.radius / 2;
+        phy.cs_range_m = layout.radius;
+        phy.interference_range_m = layout.radius;
+        const int n = static_cast<int>(layout.points.size());
+        // A budget of one shard per node packs every component alone.
+        const ShardPlan plan = plan_shards(layout.points, phy, std::max(n, 2));
+        EXPECT_EQ(testutil::canonical_partition(plan.shard_of_node),
+                  testutil::brute_force_components(layout.points, layout.radius))
+            << layout.name;
     }
 }
 
