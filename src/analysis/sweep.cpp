@@ -1,7 +1,6 @@
 #include "analysis/sweep.h"
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <stdexcept>
 
@@ -11,18 +10,6 @@
 namespace ezflow::analysis {
 
 namespace {
-
-// Effort accumulators behind perf_totals(). Wall time is tracked in
-// nanoseconds so a plain integer atomic suffices.
-std::atomic<std::uint64_t> g_events{0};
-std::atomic<std::uint64_t> g_runs{0};
-std::atomic<std::uint64_t> g_wall_ns{0};
-
-// Shard accounting for the [perf] line: the widest shard count seen and
-// per-shard event totals over a fixed number of display slots.
-constexpr int kShardSlots = 8;
-std::atomic<int> g_shards_max{1};
-std::atomic<std::uint64_t> g_shard_events[kShardSlots]{};
 
 /// Run one (cell, seed) task to completion and summarize every window.
 SeedResult run_one(const ExperimentFactory& factory, const SweepConfig& config,
@@ -43,18 +30,6 @@ SeedResult run_one(const ExperimentFactory& factory, const SweepConfig& config,
                          "[audit] drop-accounting audit skipped for runs with forward "
                          "interceptors (pacer holds packets outside the MAC queues); "
                          "conservation is unchecked there\n");
-    }
-    net::Network& network = experiment->network();
-    g_events.fetch_add(network.total_processed(), std::memory_order_relaxed);
-    g_runs.fetch_add(1, std::memory_order_relaxed);
-    const int shards = network.shard_count();
-    int widest = g_shards_max.load(std::memory_order_relaxed);
-    while (shards > widest &&
-           !g_shards_max.compare_exchange_weak(widest, shards, std::memory_order_relaxed)) {
-    }
-    if (shards > 1) {
-        for (int s = 0; s < shards && s < kShardSlots; ++s)
-            g_shard_events[s].fetch_add(network.shard_processed(s), std::memory_order_relaxed);
     }
 
     SeedResult result;
@@ -114,22 +89,6 @@ void aggregate(const SweepConfig& config, SweepResult& sweep)
 
 }  // namespace
 
-PerfTotals perf_totals()
-{
-    PerfTotals totals;
-    totals.events = g_events.load(std::memory_order_relaxed);
-    totals.runs = g_runs.load(std::memory_order_relaxed);
-    totals.wall_seconds = static_cast<double>(g_wall_ns.load(std::memory_order_relaxed)) * 1e-9;
-    totals.shards = g_shards_max.load(std::memory_order_relaxed);
-    if (totals.shards > 1) {
-        const int slots = totals.shards < kShardSlots ? totals.shards : kShardSlots;
-        totals.shard_events.reserve(static_cast<std::size_t>(slots));
-        for (int s = 0; s < slots; ++s)
-            totals.shard_events.push_back(g_shard_events[s].load(std::memory_order_relaxed));
-    }
-    return totals;
-}
-
 SweepResult SweepRunner::run(const ExperimentFactory& factory, const SweepConfig& config) const
 {
     std::vector<SweepResult> results = run_grid({factory}, config);
@@ -141,8 +100,6 @@ std::vector<SweepResult> SweepRunner::run_grid(const std::vector<ExperimentFacto
 {
     if (cells.empty()) throw std::invalid_argument("SweepRunner::run_grid: no cells");
     if (config.seeds.empty()) throw std::invalid_argument("SweepRunner::run_grid: no seeds");
-
-    const auto started = std::chrono::steady_clock::now();
 
     std::vector<SweepResult> results(cells.size());
     const std::size_t seeds = config.seeds.size();
@@ -163,13 +120,7 @@ std::vector<SweepResult> SweepRunner::run_grid(const std::vector<ExperimentFacto
         results[c].per_seed[s] = run_one(cells[c], config, config.seeds[s], keep);
     });
 
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
-    g_wall_ns.fetch_add(static_cast<std::uint64_t>(wall * 1e9), std::memory_order_relaxed);
-    for (SweepResult& result : results) {
-        aggregate(config, result);
-        result.wall_seconds = wall;
-    }
+    for (SweepResult& result : results) aggregate(config, result);
     return results;
 }
 

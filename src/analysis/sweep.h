@@ -66,29 +66,7 @@ struct SweepResult {
     std::vector<SeedResult> per_seed;   ///< parallel to config.seeds
     std::vector<WindowAggregate> windows;  ///< parallel to config.windows
     std::vector<std::unique_ptr<Experiment>> experiments;  ///< when kept
-    double wall_seconds = 0.0;
 };
-
-/// Process-wide tally of simulation effort: scheduler events processed,
-/// completed (cell, seed) runs, and wall time spent inside run_grid. The
-/// CLI reports wall time and events/second from snapshots of this — the
-/// numbers never enter any result JSON, so byte-determinism of results
-/// across thread counts is untouched.
-struct PerfTotals {
-    std::uint64_t events = 0;
-    std::uint64_t runs = 0;
-    double wall_seconds = 0.0;
-    /// Largest shard count any completed run used (1 = serial engine).
-    int shards = 1;
-    /// Events processed per shard id, summed across multi-shard runs
-    /// (empty until a multi-shard run completes; capped at a small fixed
-    /// number of slots — the CLI reports "+" when a run had more).
-    std::vector<std::uint64_t> shard_events;
-};
-
-/// Snapshot of the accumulated totals (monotonic; diff two snapshots to
-/// measure one command).
-PerfTotals perf_totals();
 
 /// Fans an experiment grid (modes x seeds x scenario knobs, expressed as
 /// ExperimentFactory cells x SweepConfig seeds) across a std::thread

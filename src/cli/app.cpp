@@ -1,6 +1,7 @@
 #include "cli/app.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <exception>
 #include <filesystem>
@@ -11,8 +12,8 @@
 #include <string>
 
 #include "analysis/result_diff.h"
-#include "analysis/sweep.h"
 #include "cli/registry.h"
+#include "net/network.h"
 #include "util/cli.h"
 #include "util/table.h"
 
@@ -187,29 +188,33 @@ std::string format_magnitude(double value)
     return os.str();
 }
 
-/// Wall-time/event-rate line for one figure run. Reported to the console
-/// only — the result JSON stays byte-deterministic across thread counts
-/// and machines.
-void print_perf(const FigureSpec& spec, const analysis::PerfTotals& before)
+/// Wall-time/event-rate line for one figure run: `wall` is the figure
+/// call itself, `perf` what every Network it ran tallied meanwhile.
+/// Reported to the console only — the result JSON stays byte-deterministic
+/// across thread counts and machines.
+void print_perf(const FigureSpec& spec, double wall, const net::PerfTotals& perf)
 {
-    const analysis::PerfTotals now = analysis::perf_totals();
-    const std::uint64_t events = now.events - before.events;
-    const std::uint64_t runs = now.runs - before.runs;
-    const double wall = now.wall_seconds - before.wall_seconds;
-    if (runs == 0 || wall <= 0.0) return;
+    if (perf.runs == 0) {
+        std::printf("[perf] %s: %.2f s wall, no network runs\n", spec.name.c_str(), wall);
+        return;
+    }
+    const double events = static_cast<double>(perf.events);
     std::printf("[perf] %s: %.2f s wall, %s events, %s events/s (%llu run%s)\n",
-                spec.name.c_str(), wall, format_magnitude(static_cast<double>(events)).c_str(),
-                format_magnitude(static_cast<double>(events) / wall).c_str(),
-                static_cast<unsigned long long>(runs), runs == 1 ? "" : "s");
-    if (now.shards > 1) {
+                spec.name.c_str(), wall, format_magnitude(events).c_str(),
+                format_magnitude(wall > 0.0 ? events / wall : 0.0).c_str(),
+                static_cast<unsigned long long>(perf.runs), perf.runs == 1 ? "" : "s");
+    const int shards = perf.widest_shards();
+    if (shards > 1) {
+        // At most this many per-shard counts; wider runs end in "...".
+        constexpr int kShownShards = 8;
         std::string per_shard;
-        for (std::size_t s = 0; s < now.shard_events.size(); ++s) {
-            const std::uint64_t prior = s < before.shard_events.size() ? before.shard_events[s] : 0;
+        for (int s = 0; s < shards && s < kShownShards; ++s) {
             if (!per_shard.empty()) per_shard += " ";
-            per_shard += format_magnitude(static_cast<double>(now.shard_events[s] - prior));
+            per_shard += format_magnitude(
+                static_cast<double>(perf.shard_events[static_cast<std::size_t>(s)]));
         }
-        if (now.shards > static_cast<int>(now.shard_events.size())) per_shard += " ...";
-        std::printf("[perf] %s: %d shards, events/shard: %s\n", spec.name.c_str(), now.shards,
+        if (shards > kShownShards) per_shard += " ...";
+        std::printf("[perf] %s: %d shards, events/shard: %s\n", spec.name.c_str(), shards,
                     per_shard.c_str());
     }
 }
@@ -287,8 +292,12 @@ int run_one(const FigureSpec& spec, const RunFlags& flags)
     FigureContext ctx = make_context(spec, flags);
     try {
         if (!ctx.csv_dir.empty()) fs::create_directories(ctx.csv_dir);
-        const analysis::PerfTotals perf_before = analysis::perf_totals();
+        const net::PerfTotals perf_before = net::perf_totals();
+        const auto started = std::chrono::steady_clock::now();
         const analysis::FigureResult result = spec.run(ctx);
+        const double wall =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
+        const net::PerfTotals perf = net::perf_totals().since(perf_before);
         for (const auto& [name, value] : ctx.extra) {
             if (ctx.extra_consumed.count(name) == 0)
                 std::fprintf(stderr, "ezflow: warning: --%s is not used by figure '%s'\n",
@@ -296,7 +305,7 @@ int run_one(const FigureSpec& spec, const RunFlags& flags)
         }
         if (!flags.quiet) {
             print_report(spec, result);
-            print_perf(spec, perf_before);
+            print_perf(spec, wall, perf);
         }
         if (!write_outputs(flags, result)) return 1;
     } catch (const FlagError& e) {

@@ -22,8 +22,7 @@ using namespace ezflow::analysis;
 
 // -- ablation_pacer: CWmin control vs routing-layer rate pacing ----------
 
-void pacer_cw_variant(const FigureContext& ctx, FigureResult& result, Mode mode,
-                      double duration_s)
+RunResult pacer_cw_variant(const FigureContext& ctx, Mode mode, double duration_s)
 {
     ExperimentOptions options;
     options.mode = mode;
@@ -31,20 +30,17 @@ void pacer_cw_variant(const FigureContext& ctx, FigureResult& result, Mode mode,
     exp.run();
     const double from = 0.5 * duration_s;
     const auto summary = exp.summarize(0, from, duration_s);
-    WindowResult& window = result.add_cell(mode_name(mode)).add_window("settled");
+    RunResult cell{mode_name(mode), {}};
+    WindowResult& window = cell.add_window("settled");
     window.set("goodput_kbps", metric_point(summary.mean_kbps));
     window.set("mac_b1", metric_point(exp.buffers().mean_occupancy(
                              1, util::from_seconds(from), util::from_seconds(duration_s))));
     window.set("delay_s", metric_point(summary.mean_delay_s));
+    return cell;
 }
 
-FigureResult run_ablation_pacer(const FigureContext& ctx)
+RunResult pacer_paced_variant(const FigureContext& ctx, double duration_s)
 {
-    const double duration_s = 4000.0 * ctx.scale;
-    FigureResult result = make_result(ctx);
-    pacer_cw_variant(ctx, result, Mode::kBaseline80211, duration_s);
-    pacer_cw_variant(ctx, result, Mode::kEzFlow, duration_s);
-
     net::Scenario scenario = net::make_line(4, duration_s, ctx.seed);
     net::Network& network = *scenario.network;
     auto agents = core::install_paced_ezflow(network, core::PacedEzFlowAgent::Options{});
@@ -57,7 +53,8 @@ FigureResult run_ablation_pacer(const FigureContext& ctx)
     network.run_until(util::from_seconds(duration_s));
     const double from = 0.5 * duration_s;
     const auto& rec = sink.flow(0);
-    WindowResult& window = result.add_cell("EZ-flow (paced)").add_window("settled");
+    RunResult cell{"EZ-flow (paced)", {}};
+    WindowResult& window = cell.add_window("settled");
     window.set("goodput_kbps", metric_point(sink.goodput_kbps(0, util::from_seconds(from),
                                                               util::from_seconds(duration_s))));
     window.set("mac_b1", metric_point(tracer.mean_occupancy(1, util::from_seconds(from),
@@ -66,13 +63,24 @@ FigureResult run_ablation_pacer(const FigureContext& ctx)
                metric_point(rec.delay_series.mean_between(util::from_seconds(from),
                                                           util::from_seconds(duration_s)) /
                             static_cast<double>(util::kSecond)));
+    return cell;
+}
+
+FigureResult run_ablation_pacer(const FigureContext& ctx)
+{
+    const double duration_s = 4000.0 * ctx.scale;
+    FigureResult result = make_result(ctx);
+    result.cells = fan_out(ctx, 3, [&](int i) {
+        if (i == 2) return pacer_paced_variant(ctx, duration_s);
+        return pacer_cw_variant(ctx, i == 0 ? Mode::kBaseline80211 : Mode::kEzFlow, duration_s);
+    });
     return result;
 }
 
 // -- ablation_penalty_q: static penalty of [9] vs self-tuning EZ-Flow ----
 
-void penalty_run(const FigureContext& ctx, RunResult& cell, const std::string& window_label,
-                 int hops, Mode mode, double q)
+WindowResult penalty_run(const FigureContext& ctx, const std::string& window_label, int hops,
+                         Mode mode, double q)
 {
     const double duration_s = 4000.0 * ctx.scale;
     ExperimentOptions options;
@@ -87,28 +95,42 @@ void penalty_run(const FigureContext& ctx, RunResult& cell, const std::string& w
         b_worst = std::max(b_worst,
                            exp.buffers().mean_occupancy(n, util::from_seconds(warmup),
                                                         util::from_seconds(duration_s + 5)));
-    WindowResult& window = cell.add_window(window_label);
+    WindowResult window{window_label, {}};
     window.set("b_worst", metric_point(b_worst));
     window.set("goodput_kbps", metric_point(exp.summarize(0, warmup, duration_s).mean_kbps));
+    return window;
 }
 
 FigureResult run_ablation_penalty_q(const FigureContext& ctx)
 {
+    const std::vector<int> hop_counts = {3, 4, 5};
+    struct Variant {
+        std::string label;
+        Mode mode;
+        double q;
+    };
+    // Per chain: every static q, then self-tuning EZ-flow.
+    std::vector<Variant> variants;
+    for (const double q : {1.0, 1.0 / 4.0, 1.0 / 16.0, 1.0 / 64.0})
+        variants.push_back({"penalty q=1/" + std::to_string(int(1.0 / q)), Mode::kPenalty, q});
+    variants.push_back({"EZ-flow (self-tuned)", Mode::kEzFlow, 1.0});
+    const int per_cell = static_cast<int>(variants.size());
+    auto windows = fan_out(ctx, static_cast<int>(hop_counts.size()) * per_cell, [&](int i) {
+        const Variant& v = variants[static_cast<std::size_t>(i % per_cell)];
+        return penalty_run(ctx, v.label, hop_counts[static_cast<std::size_t>(i / per_cell)],
+                           v.mode, v.q);
+    });
     FigureResult result = make_result(ctx);
-    for (const int hops : {3, 4, 5}) {
-        RunResult& cell = result.add_cell(std::to_string(hops) + "-hop chain");
-        for (const double q : {1.0, 1.0 / 4.0, 1.0 / 16.0, 1.0 / 64.0})
-            penalty_run(ctx, cell, "penalty q=1/" + std::to_string(int(1.0 / q)), hops,
-                        Mode::kPenalty, q);
-        penalty_run(ctx, cell, "EZ-flow (self-tuned)", hops, Mode::kEzFlow, 1.0);
-    }
+    std::vector<std::string> labels;
+    for (const int hops : hop_counts) labels.push_back(std::to_string(hops) + "-hop chain");
+    add_cells(result, labels, std::move(windows));
     return result;
 }
 
 // -- ablation_phy_capture: SIR capture vs the Fig. 1 dichotomy -----------
 
-void capture_run(const FigureContext& ctx, RunResult& cell, int hops, double capture_threshold,
-                 double duration_s)
+WindowResult capture_run(const FigureContext& ctx, int hops, double capture_threshold,
+                         double duration_s)
 {
     net::Network::Config config = net::testbed_config(ctx.seed);
     config.phy.capture_threshold = capture_threshold;
@@ -124,31 +146,35 @@ void capture_run(const FigureContext& ctx, RunResult& cell, int hops, double cap
     source.activate(util::from_seconds(5), util::from_seconds(duration_s));
     network.run_until(util::from_seconds(duration_s));
     const double from = 0.4 * duration_s;
-    WindowResult& window = cell.add_window(std::to_string(hops) + "-hop");
+    WindowResult window{std::to_string(hops) + "-hop", {}};
     window.set("b1", metric_point(tracer.mean_occupancy(1, util::from_seconds(from),
                                                         util::from_seconds(duration_s))));
     window.set("b_last", metric_point(tracer.mean_occupancy(hops - 1, util::from_seconds(from),
                                                             util::from_seconds(duration_s))));
     window.set("goodput_kbps", metric_point(sink.goodput_kbps(0, util::from_seconds(from),
                                                               util::from_seconds(duration_s))));
+    return window;
 }
 
 FigureResult run_ablation_phy_capture(const FigureContext& ctx)
 {
     const double duration_s = 1800.0 * ctx.scale;
+    const std::vector<double> thresholds = {10.0, 1e9};
+    const std::vector<int> hop_counts = {3, 4};
+    const int per_cell = static_cast<int>(hop_counts.size());
+    auto windows = fan_out(ctx, static_cast<int>(thresholds.size()) * per_cell, [&](int i) {
+        return capture_run(ctx, hop_counts[static_cast<std::size_t>(i % per_cell)],
+                           thresholds[static_cast<std::size_t>(i / per_cell)], duration_s);
+    });
     FigureResult result = make_result(ctx);
-    for (const double threshold : {10.0, 1e9}) {
-        RunResult& cell =
-            result.add_cell(threshold < 1e6 ? "capture 10 dB (ns-2)" : "capture disabled");
-        for (const int hops : {3, 4}) capture_run(ctx, cell, hops, threshold, duration_s);
-    }
+    add_cells(result, {"capture 10 dB (ns-2)", "capture disabled"}, std::move(windows));
     return result;
 }
 
 // -- ablation_rtscts: is RTS/CTS an alternative to EZ-Flow? --------------
 
-void rtscts_run(const FigureContext& ctx, RunResult& cell, const std::string& window_label,
-                double cs_range, bool rts, bool ezflow, double duration_s)
+WindowResult rtscts_run(const FigureContext& ctx, const std::string& window_label,
+                        double cs_range, bool rts, bool ezflow, double duration_s)
 {
     net::Network::Config config = net::default_config(ctx.seed);
     config.phy.cs_range_m = cs_range;
@@ -169,110 +195,146 @@ void rtscts_run(const FigureContext& ctx, RunResult& cell, const std::string& wi
     source.activate(util::from_seconds(5), util::from_seconds(duration_s));
     network.run_until(util::from_seconds(duration_s));
     const double from = 0.4 * duration_s;
-    WindowResult& window = cell.add_window(window_label);
+    WindowResult window{window_label, {}};
     window.set("goodput_kbps", metric_point(sink.goodput_kbps(0, util::from_seconds(from),
                                                               util::from_seconds(duration_s))));
     window.set("b1", metric_point(tracer.mean_occupancy(1, util::from_seconds(from),
                                                         util::from_seconds(duration_s))));
+    return window;
 }
 
 FigureResult run_ablation_rtscts(const FigureContext& ctx)
 {
     const double duration_s = 3000.0 * ctx.scale;
+    const std::vector<double> cs_ranges = {550.0, 250.0};
+    struct Variant {
+        const char* label;
+        bool rts;
+        bool ezflow;
+    };
+    const std::vector<Variant> variants = {{"802.11 basic", false, false},
+                                           {"802.11 + RTS/CTS", true, false},
+                                           {"EZ-flow (no RTS)", false, true}};
+    const int per_cell = static_cast<int>(variants.size());
+    auto windows = fan_out(ctx, static_cast<int>(cs_ranges.size()) * per_cell, [&](int i) {
+        const Variant& v = variants[static_cast<std::size_t>(i % per_cell)];
+        return rtscts_run(ctx, v.label, cs_ranges[static_cast<std::size_t>(i / per_cell)], v.rts,
+                          v.ezflow, duration_s);
+    });
     FigureResult result = make_result(ctx);
-    for (const double cs : {550.0, 250.0}) {
-        RunResult& cell = result.add_cell(cs > 400 ? "CS ns-2 (550 m)" : "CS testbed (1-hop)");
-        rtscts_run(ctx, cell, "802.11 basic", cs, false, false, duration_s);
-        rtscts_run(ctx, cell, "802.11 + RTS/CTS", cs, true, false, duration_s);
-        rtscts_run(ctx, cell, "EZ-flow (no RTS)", cs, false, true, duration_s);
-    }
+    add_cells(result, {"CS ns-2 (550 m)", "CS testbed (1-hop)"}, std::move(windows));
     return result;
 }
 
 // -- ablation_sample_window: CAA decision window sweep -------------------
 
+WindowResult sample_window_run(const FigureContext& ctx, int sample_window, double duration_s)
+{
+    ExperimentOptions options;
+    options.mode = Mode::kEzFlow;
+    options.caa.sample_window = sample_window;
+    // F2 joins for the middle third of the run.
+    net::Scenario scenario = net::make_testbed(5.0, duration_s, duration_s / 3.0,
+                                               2.0 * duration_s / 3.0, ctx.seed);
+    Experiment exp(std::move(scenario), options);
+    exp.run_until_s(duration_s);
+    const double warmup = 0.15 * duration_s;
+    const auto summary = exp.summarize(1, warmup, duration_s);
+    const auto* agent = exp.agent(0);
+    std::uint64_t changes = 0;
+    if (agent != nullptr) {
+        for (const auto& [succ, state] : agent->successors())
+            changes += state->caa->increases() + state->caa->decreases();
+    }
+    WindowResult window{"window " + std::to_string(sample_window), {}};
+    window.set("b1", metric_point(exp.buffers().mean_occupancy(1, util::from_seconds(warmup),
+                                                               util::from_seconds(duration_s))));
+    window.set("goodput_kbps", metric_point(summary.mean_kbps));
+    window.set("delay_s", metric_point(summary.mean_delay_s));
+    window.set("cw_changes", metric_point(static_cast<double>(changes)));
+    return window;
+}
+
 FigureResult run_ablation_sample_window(const FigureContext& ctx)
 {
     const double duration_s = 6000.0 * ctx.scale;
+    const std::vector<int> sample_windows = {5, 20, 50, 200, 1000};
     FigureResult result = make_result(ctx);
-    RunResult& cell = result.add_cell("4-hop + joining flow");
-    for (const int sample_window : {5, 20, 50, 200, 1000}) {
-        ExperimentOptions options;
-        options.mode = Mode::kEzFlow;
-        options.caa.sample_window = sample_window;
-        // F2 joins for the middle third of the run.
-        net::Scenario scenario = net::make_testbed(5.0, duration_s, duration_s / 3.0,
-                                                   2.0 * duration_s / 3.0, ctx.seed);
-        Experiment exp(std::move(scenario), options);
-        exp.run_until_s(duration_s);
-        const double warmup = 0.15 * duration_s;
-        const auto summary = exp.summarize(1, warmup, duration_s);
-        const auto* agent = exp.agent(0);
-        std::uint64_t changes = 0;
-        if (agent != nullptr) {
-            for (const auto& [succ, state] : agent->successors())
-                changes += state->caa->increases() + state->caa->decreases();
-        }
-        WindowResult& window = cell.add_window("window " + std::to_string(sample_window));
-        window.set("b1", metric_point(exp.buffers().mean_occupancy(
-                       1, util::from_seconds(warmup), util::from_seconds(duration_s))));
-        window.set("goodput_kbps", metric_point(summary.mean_kbps));
-        window.set("delay_s", metric_point(summary.mean_delay_s));
-        window.set("cw_changes", metric_point(static_cast<double>(changes)));
-    }
+    add_cells(result, {"4-hop + joining flow"},
+              fan_out(ctx, static_cast<int>(sample_windows.size()), [&](int i) {
+                  return sample_window_run(ctx, sample_windows[static_cast<std::size_t>(i)],
+                                           duration_s);
+              }));
     return result;
 }
 
 // -- ablation_sniff_loss: robustness of the BOE to missed sniffs ---------
 
+WindowResult sniff_loss_run(const FigureContext& ctx, double loss, double duration_s)
+{
+    ExperimentOptions options;
+    options.mode = Mode::kEzFlow;
+    options.boe_sniff_loss = loss;
+    Experiment exp(net::make_line(4, duration_s, ctx.seed), options);
+    exp.run();
+    const double warmup = 0.4 * duration_s;
+    const auto summary = exp.summarize(0, warmup, duration_s);
+    const auto* agent = exp.agent(0);
+    WindowResult window{"loss " + util::Table::num(loss, 2), {}};
+    window.set("b1", metric_point(exp.buffers().mean_occupancy(
+                   1, util::from_seconds(warmup), util::from_seconds(duration_s + 5))));
+    window.set("goodput_kbps", metric_point(summary.mean_kbps));
+    window.set("delay_s", metric_point(summary.mean_delay_s));
+    window.set("source_cw", metric_point(agent != nullptr ? agent->cw_toward(1) : -1));
+    return window;
+}
+
 FigureResult run_ablation_sniff_loss(const FigureContext& ctx)
 {
     const double duration_s = 6000.0 * ctx.scale;
+    const std::vector<double> losses = {0.0, 0.5, 0.8, 0.95};
     FigureResult result = make_result(ctx);
-    RunResult& cell = result.add_cell("4-hop chain / EZ-flow");
-    for (const double loss : {0.0, 0.5, 0.8, 0.95}) {
-        ExperimentOptions options;
-        options.mode = Mode::kEzFlow;
-        options.boe_sniff_loss = loss;
-        Experiment exp(net::make_line(4, duration_s, ctx.seed), options);
-        exp.run();
-        const double warmup = 0.4 * duration_s;
-        const auto summary = exp.summarize(0, warmup, duration_s);
-        const auto* agent = exp.agent(0);
-        WindowResult& window = cell.add_window("loss " + util::Table::num(loss, 2));
-        window.set("b1", metric_point(exp.buffers().mean_occupancy(
-                       1, util::from_seconds(warmup), util::from_seconds(duration_s + 5))));
-        window.set("goodput_kbps", metric_point(summary.mean_kbps));
-        window.set("delay_s", metric_point(summary.mean_delay_s));
-        window.set("source_cw", metric_point(agent != nullptr ? agent->cw_toward(1) : -1));
-    }
+    add_cells(result, {"4-hop chain / EZ-flow"},
+              fan_out(ctx, static_cast<int>(losses.size()), [&](int i) {
+                  return sniff_loss_run(ctx, losses[static_cast<std::size_t>(i)], duration_s);
+              }));
     return result;
 }
 
 // -- ablation_thresholds: bmin/bmax sensitivity --------------------------
 
+WindowResult thresholds_run(const FigureContext& ctx, double bmin, double bmax, double duration_s)
+{
+    ExperimentOptions options;
+    options.mode = Mode::kEzFlow;
+    options.caa.bmin = bmin;
+    options.caa.bmax = bmax;
+    Experiment exp(net::make_line(4, duration_s, ctx.seed), options);
+    exp.run();
+    const double warmup = 0.4 * duration_s;
+    const auto summary = exp.summarize(0, warmup, duration_s);
+    WindowResult window{"bmax " + util::Table::num(bmax, 0), {}};
+    window.set("b1", metric_point(exp.buffers().mean_occupancy(
+                   1, util::from_seconds(warmup), util::from_seconds(duration_s + 5))));
+    window.set("goodput_kbps", metric_point(summary.mean_kbps));
+    window.set("delay_s", metric_point(summary.mean_delay_s));
+    return window;
+}
+
 FigureResult run_ablation_thresholds(const FigureContext& ctx)
 {
     const double duration_s = 600.0 * ctx.scale * 10.0;  // default scale 0.1 -> 600 s
+    const std::vector<double> bmins = {0.05, 0.5, 2.0};
+    const std::vector<double> bmaxes = {10.0, 20.0, 40.0};
+    const int per_cell = static_cast<int>(bmaxes.size());
+    auto windows = fan_out(ctx, static_cast<int>(bmins.size()) * per_cell, [&](int i) {
+        return thresholds_run(ctx, bmins[static_cast<std::size_t>(i / per_cell)],
+                              bmaxes[static_cast<std::size_t>(i % per_cell)], duration_s);
+    });
     FigureResult result = make_result(ctx);
-    for (const double bmin : {0.05, 0.5, 2.0}) {
-        RunResult& cell = result.add_cell("bmin " + util::Table::num(bmin, 2));
-        for (const double bmax : {10.0, 20.0, 40.0}) {
-            ExperimentOptions options;
-            options.mode = Mode::kEzFlow;
-            options.caa.bmin = bmin;
-            options.caa.bmax = bmax;
-            Experiment exp(net::make_line(4, duration_s, ctx.seed), options);
-            exp.run();
-            const double warmup = 0.4 * duration_s;
-            const auto summary = exp.summarize(0, warmup, duration_s);
-            WindowResult& window = cell.add_window("bmax " + util::Table::num(bmax, 0));
-            window.set("b1", metric_point(exp.buffers().mean_occupancy(
-                           1, util::from_seconds(warmup), util::from_seconds(duration_s + 5))));
-            window.set("goodput_kbps", metric_point(summary.mean_kbps));
-            window.set("delay_s", metric_point(summary.mean_delay_s));
-        }
-    }
+    std::vector<std::string> labels;
+    for (const double bmin : bmins) labels.push_back("bmin " + util::Table::num(bmin, 2));
+    add_cells(result, labels, std::move(windows));
     return result;
 }
 

@@ -38,17 +38,15 @@ FigureResult run_ampdu(const FigureContext& ctx)
         SweepWindow{"settled", grid.start_s + 0.3 * grid.duration_s,
                     grid.start_s + grid.duration_s, gateway_flow_ids(grid.sources)}};
 
+    // Cell labels stay distinct per batch size: scenario_name appends
+    // "-k<K>" for K > 1, so the K=1 cells keep the legacy labels.
+    std::vector<ScenarioSpec> specs;
+    for (const int k : {1, 4, 16})
+        specs.emplace_back(ScenarioSpec::grid_gateway(grid)).ampdu_max_mpdus = k;
     FigureResult result = make_result(ctx);
-    for (const int k : {1, 4, 16}) {
-        ScenarioSpec spec = ScenarioSpec::grid_gateway(grid);
-        spec.ampdu_max_mpdus = k;
-        // Cell labels stay distinct per batch size: scenario_name appends
-        // "-k<K>" for K > 1, so the K=1 cells keep the legacy labels.
-        const auto sweeps =
-            sweep_modes(ctx, spec, {Mode::kBaseline80211, Mode::kEzFlow}, windows);
-        for (const SweepResult& sweep : sweeps)
-            result.cells.push_back(run_result_from_sweep(sweep, windows));
-    }
+    for (const SweepResult& sweep :
+         sweep_modes(ctx, specs, {Mode::kBaseline80211, Mode::kEzFlow}, windows))
+        result.cells.push_back(run_result_from_sweep(sweep, windows));
     return result;
 }
 

@@ -11,34 +11,37 @@ namespace {
 
 using namespace ezflow::analysis;
 
+RunResult fig01_chain(const FigureContext& ctx, int hops)
+{
+    const double duration_s = 1800.0 * ctx.scale;
+    ExperimentOptions options;
+    options.mode = Mode::kBaseline80211;
+    Experiment exp(net::make_line(hops, duration_s, ctx.seed), options);
+    exp.run();
+
+    RunResult cell{std::to_string(hops) + "-hop chain / IEEE 802.11", {}};
+    WindowResult& window = cell.add_window("settled");
+    const double warmup = 0.2 * duration_s;
+    std::vector<std::pair<std::string, const util::TimeSeries*>> series;
+    for (int n = 1; n < hops; ++n) {
+        const std::string prefix = "N" + std::to_string(n);
+        window.set(prefix + ".buf_mean",
+                   metric_point(exp.buffers().mean_occupancy(
+                       n, util::from_seconds(warmup), util::from_seconds(duration_s + 5))));
+        window.set(prefix + ".buf_max", metric_point(exp.buffers().max_occupancy(n)));
+        window.set(prefix + ".drops",
+                   metric_point(static_cast<double>(exp.network().node(n).forward_queue_drops())));
+        series.emplace_back(prefix, &exp.buffers().trace(n));
+    }
+    window.set("goodput_kbps", metric_point(exp.summarize(0, warmup, duration_s).mean_kbps));
+    maybe_dump_series(ctx, "fig01_" + std::to_string(hops) + "hop", series);
+    return cell;
+}
+
 FigureResult run_fig01(const FigureContext& ctx)
 {
     FigureResult result = make_result(ctx);
-    for (const int hops : {3, 4}) {
-        const double duration_s = 1800.0 * ctx.scale;
-        ExperimentOptions options;
-        options.mode = Mode::kBaseline80211;
-        Experiment exp(net::make_line(hops, duration_s, ctx.seed), options);
-        exp.run();
-
-        RunResult& cell = result.add_cell(std::to_string(hops) + "-hop chain / IEEE 802.11");
-        WindowResult& window = cell.add_window("settled");
-        const double warmup = 0.2 * duration_s;
-        std::vector<std::pair<std::string, const util::TimeSeries*>> series;
-        for (int n = 1; n < hops; ++n) {
-            const std::string prefix = "N" + std::to_string(n);
-            window.set(prefix + ".buf_mean",
-                       metric_point(exp.buffers().mean_occupancy(
-                           n, util::from_seconds(warmup), util::from_seconds(duration_s + 5))));
-            window.set(prefix + ".buf_max", metric_point(exp.buffers().max_occupancy(n)));
-            window.set(prefix + ".drops",
-                       metric_point(static_cast<double>(
-                           exp.network().node(n).forward_queue_drops())));
-            series.emplace_back(prefix, &exp.buffers().trace(n));
-        }
-        window.set("goodput_kbps", metric_point(exp.summarize(0, warmup, duration_s).mean_kbps));
-        maybe_dump_series(ctx, "fig01_" + std::to_string(hops) + "hop", series);
-    }
+    result.cells = fan_out(ctx, 2, [&](int i) { return fig01_chain(ctx, 3 + i); });
     return result;
 }
 

@@ -24,40 +24,47 @@ using namespace ezflow::analysis;
 
 // -- quickstart: one K-hop chain, both policies --------------------------
 
+RunResult quickstart_run(const FigureContext& ctx, Mode mode, int hops, double duration_s)
+{
+    ExperimentOptions options;
+    options.mode = mode;
+    Experiment experiment(net::make_line(hops, duration_s, ctx.seed), options);
+    experiment.run();
+
+    const double warmup_s = 0.3 * duration_s;
+    const auto summary = experiment.summarize(0, warmup_s, duration_s);
+    RunResult cell{mode_name(mode), {}};
+    WindowResult& window = cell.add_window("settled");
+    window.set("goodput_kbps", metric_point(summary.mean_kbps));
+    window.set("delay_s", metric_point(summary.mean_delay_s));
+    window.set("delay_max_s", metric_point(summary.max_delay_s));
+    for (int n = 1; n < hops; ++n) {
+        const std::string prefix = "N" + std::to_string(n);
+        window.set(prefix + ".buf_mean",
+                   metric_point(experiment.buffers().mean_occupancy(
+                       n, util::from_seconds(warmup_s), util::from_seconds(duration_s))));
+        window.set(prefix + ".drops",
+                   metric_point(static_cast<double>(
+                       experiment.network().node(n).forward_queue_drops())));
+    }
+    if (mode == Mode::kEzFlow) {
+        for (int n = 0; n < hops; ++n)
+            if (const core::EzFlowAgent* agent = experiment.agent(n))
+                window.set("cw" + std::to_string(n), metric_point(agent->cw_toward(n + 1)));
+    }
+    return cell;
+}
+
 FigureResult run_quickstart(const FigureContext& ctx)
 {
     const int hops = ctx.extra_int("hops", 4);
     // --duration keeps the former standalone binary's flag working.
     const double duration_s = ctx.extra_double("duration", 300.0 * ctx.scale);
     FigureResult result = make_result(ctx);
-    for (const Mode mode : {Mode::kBaseline80211, Mode::kEzFlow}) {
-        ExperimentOptions options;
-        options.mode = mode;
-        Experiment experiment(net::make_line(hops, duration_s, ctx.seed), options);
-        experiment.run();
-
-        const double warmup_s = 0.3 * duration_s;
-        const auto summary = experiment.summarize(0, warmup_s, duration_s);
-        WindowResult& window = result.add_cell(mode_name(mode)).add_window("settled");
-        window.set("goodput_kbps", metric_point(summary.mean_kbps));
-        window.set("delay_s", metric_point(summary.mean_delay_s));
-        window.set("delay_max_s", metric_point(summary.max_delay_s));
-        for (int n = 1; n < hops; ++n) {
-            const std::string prefix = "N" + std::to_string(n);
-            window.set(prefix + ".buf_mean",
-                       metric_point(experiment.buffers().mean_occupancy(
-                           n, util::from_seconds(warmup_s), util::from_seconds(duration_s))));
-            window.set(prefix + ".drops",
-                       metric_point(static_cast<double>(
-                           experiment.network().node(n).forward_queue_drops())));
-        }
-        if (mode == Mode::kEzFlow) {
-            for (int n = 0; n < hops; ++n)
-                if (const core::EzFlowAgent* agent = experiment.agent(n))
-                    window.set("cw" + std::to_string(n),
-                               metric_point(agent->cw_toward(n + 1)));
-        }
-    }
+    result.cells = fan_out(ctx, 2, [&](int i) {
+        return quickstart_run(ctx, i == 0 ? Mode::kBaseline80211 : Mode::kEzFlow, hops,
+                              duration_s);
+    });
     return result;
 }
 
@@ -119,7 +126,7 @@ FigureResult run_backhaul_gateway(const FigureContext& ctx)
 
 // -- voip_mesh: voice tail latency next to a greedy bulk flow ------------
 
-void voip_run(const FigureContext& ctx, FigureResult& result, bool ezflow, double duration_s)
+RunResult voip_run(const FigureContext& ctx, bool ezflow, double duration_s)
 {
     net::Scenario scenario = net::make_line(4, duration_s, ctx.seed);
     net::Network& network = *scenario.network;
@@ -147,8 +154,8 @@ void voip_run(const FigureContext& ctx, FigureResult& result, bool ezflow, doubl
     for (std::size_t i = 0; i < times.size(); ++i)
         if (util::to_seconds(times[i]) >= from) delays_ms.push_back(values[i] / 1000.0);
 
-    WindowResult& window =
-        result.add_cell(ezflow ? "EZ-flow" : "IEEE 802.11").add_window("voice");
+    RunResult cell{ezflow ? "EZ-flow" : "IEEE 802.11", {}};
+    WindowResult& window = cell.add_window("voice");
     window.set("delivered", metric_point(static_cast<double>(record.packets)));
     window.set("delay_p50_ms",
                metric_point(delays_ms.empty() ? 0.0 : util::percentile(delays_ms, 50)));
@@ -156,14 +163,14 @@ void voip_run(const FigureContext& ctx, FigureResult& result, bool ezflow, doubl
                metric_point(delays_ms.empty() ? 0.0 : util::percentile(delays_ms, 95)));
     window.set("delay_p99_ms",
                metric_point(delays_ms.empty() ? 0.0 : util::percentile(delays_ms, 99)));
+    return cell;
 }
 
 FigureResult run_voip_mesh(const FigureContext& ctx)
 {
     const double duration_s = ctx.extra_double("duration", 400.0 * ctx.scale);
     FigureResult result = make_result(ctx);
-    voip_run(ctx, result, false, duration_s);
-    voip_run(ctx, result, true, duration_s);
+    result.cells = fan_out(ctx, 2, [&](int i) { return voip_run(ctx, i == 1, duration_s); });
     return result;
 }
 
@@ -206,6 +213,33 @@ FigureResult run_adaptive_traffic(const FigureContext& ctx)
 
 // -- model_explorer: the Section 6 slotted walk, directly ----------------
 
+RunResult model_explorer_walk(const FigureContext& ctx, bool ezflow, int hops,
+                              std::uint64_t slots, long long fixed_cw)
+{
+    model::RandomWalkModel::Config config;
+    config.hops = hops;
+    config.ezflow_enabled = ezflow;
+    if (!ezflow) config.initial_cw.assign(static_cast<std::size_t>(hops), fixed_cw);
+
+    model::RandomWalkModel walk(config, util::Rng(ctx.seed));
+    std::map<int, std::uint64_t> region_time;
+    RunResult cell{ezflow ? "EZ-flow dynamics (Eq. 2)" : "fixed windows", {}};
+    for (int quarter = 1; quarter <= 4; ++quarter) {
+        for (std::uint64_t i = 0; i < slots / 4; ++i) {
+            walk.step();
+            ++region_time[walk.region()];
+        }
+        WindowResult& window = cell.add_window("q" + std::to_string(quarter));
+        window.set("h", metric_point(static_cast<double>(walk.total_backlog())));
+        window.set("delivered", metric_point(static_cast<double>(walk.delivered())));
+    }
+    WindowResult& shares = cell.add_window("region time share");
+    for (const auto& [region, count] : region_time)
+        shares.set(model::region_name(region, hops - 1),
+                   metric_point(static_cast<double>(count) / static_cast<double>(walk.slots())));
+    return cell;
+}
+
 FigureResult run_model_explorer(const FigureContext& ctx)
 {
     const int hops = ctx.extra_int("hops", 4);
@@ -214,31 +248,9 @@ FigureResult run_model_explorer(const FigureContext& ctx)
     const long long fixed_cw = ctx.extra_int("cw", 32);
 
     FigureResult result = make_result(ctx);
-    for (const bool ezflow : {false, true}) {
-        model::RandomWalkModel::Config config;
-        config.hops = hops;
-        config.ezflow_enabled = ezflow;
-        if (!ezflow) config.initial_cw.assign(static_cast<std::size_t>(hops), fixed_cw);
-
-        model::RandomWalkModel walk(config, util::Rng(ctx.seed));
-        std::map<int, std::uint64_t> region_time;
-        RunResult& cell =
-            result.add_cell(ezflow ? "EZ-flow dynamics (Eq. 2)" : "fixed windows");
-        for (int quarter = 1; quarter <= 4; ++quarter) {
-            for (std::uint64_t i = 0; i < slots / 4; ++i) {
-                walk.step();
-                ++region_time[walk.region()];
-            }
-            WindowResult& window = cell.add_window("q" + std::to_string(quarter));
-            window.set("h", metric_point(static_cast<double>(walk.total_backlog())));
-            window.set("delivered", metric_point(static_cast<double>(walk.delivered())));
-        }
-        WindowResult& shares = cell.add_window("region time share");
-        for (const auto& [region, count] : region_time)
-            shares.set(model::region_name(region, hops - 1),
-                       metric_point(static_cast<double>(count) /
-                                    static_cast<double>(walk.slots())));
-    }
+    result.cells = fan_out(ctx, 2, [&](int i) {
+        return model_explorer_walk(ctx, i == 1, hops, slots, fixed_cw);
+    });
     return result;
 }
 

@@ -76,7 +76,7 @@ void append_mode_cells(FigureResult& result, const FigureContext& ctx, const Sce
                        const std::vector<SweepWindow>& windows, bool maxmin)
 {
     const std::vector<Mode> modes = {Mode::kBaseline80211, Mode::kEzFlow};
-    const auto sweeps = sweep_modes(ctx, spec, modes, windows);
+    const auto sweeps = sweep_modes(ctx, {spec}, modes, windows);
     for (const SweepResult& sweep : sweeps) {
         result.cells.push_back(run_result_from_sweep(sweep, windows));
         if (maxmin) add_maxmin_metrics(result.cells.back(), sweep);

@@ -17,33 +17,30 @@ namespace {
 
 using namespace ezflow::analysis;
 
-FigureResult run_fig12(const FigureContext& ctx)
+/// Trajectory of the total backlog h(b) with fixed equal windows
+/// (divergent) or EZ-Flow dynamics (bounded).
+RunResult fig12_walk(const FigureContext& ctx, bool ezflow, std::uint64_t slots)
 {
-    FigureResult result = make_result(ctx);
-
-    // (i) trajectories of the total backlog h(b) with fixed equal windows
-    // (divergent) vs EZ-Flow dynamics (bounded).
-    const std::uint64_t slots =
-        static_cast<std::uint64_t>(300000 * std::max(ctx.scale, 0.05));
-    for (const bool ezflow : {false, true}) {
-        model::RandomWalkModel::Config config;
-        config.hops = 4;
-        config.ezflow_enabled = ezflow;
-        if (!ezflow) config.initial_cw = {32, 32, 32, 32};
-        model::RandomWalkModel walk(config, util::Rng(ctx.seed));
-        RunResult& cell = result.add_cell(ezflow ? "EZ-flow (Eq. 2)" : "fixed cw = 32");
-        WindowResult& window = cell.add_window("trajectory");
-        const char* quarter_names[] = {"h_q1", "h_q2", "h_q3", "h_end"};
-        for (int quarter = 0; quarter < 4; ++quarter) {
-            walk.run(slots / 4);
-            window.set(quarter_names[quarter],
-                       metric_point(static_cast<double>(walk.total_backlog())));
-        }
-        window.set("delivered", metric_point(static_cast<double>(walk.delivered())));
+    model::RandomWalkModel::Config config;
+    config.hops = 4;
+    config.ezflow_enabled = ezflow;
+    if (!ezflow) config.initial_cw = {32, 32, 32, 32};
+    model::RandomWalkModel walk(config, util::Rng(ctx.seed));
+    RunResult cell{ezflow ? "EZ-flow (Eq. 2)" : "fixed cw = 32", {}};
+    WindowResult& window = cell.add_window("trajectory");
+    const char* quarter_names[] = {"h_q1", "h_q2", "h_q3", "h_end"};
+    for (int quarter = 0; quarter < 4; ++quarter) {
+        walk.run(slots / 4);
+        window.set(quarter_names[quarter], metric_point(static_cast<double>(walk.total_backlog())));
     }
+    window.set("delivered", metric_point(static_cast<double>(walk.delivered())));
+    return cell;
+}
 
-    // (ii) the Foster-Lyapunov drift per region with the paper's
-    // look-ahead horizons, which must be negative outside the finite set S.
+/// The Foster-Lyapunov drift per region with the paper's look-ahead
+/// horizons, which must be negative outside the finite set S.
+RunResult fig12_drift(const FigureContext& ctx)
+{
     model::RandomWalkModel::Config config;
     config.hops = 4;
     config.ezflow_enabled = true;
@@ -57,16 +54,28 @@ FigureResult run_fig12(const FigureContext& ctx)
         {model::kRegionH, {big, big, big}},
     };
     const int samples = static_cast<int>(8000 * std::max(ctx.scale, 0.05));
-    RunResult& drift_cell = result.add_cell("Foster-Lyapunov drift");
+    RunResult cell{"Foster-Lyapunov drift", {}};
     for (const auto& [region, relays] : states) {
         const int k = model::LyapunovEstimator::paper_horizon(region);
         const auto d = estimator.estimate(relays, k, samples);
-        WindowResult& window = drift_cell.add_window("region " + model::region_name(region, 3));
+        WindowResult& window = cell.add_window("region " + model::region_name(region, 3));
         window.set("horizon_k", metric_point(k));
         window.set("mean_drift", metric_point(d.mean_drift));
         window.set("stderr_drift", metric_point(d.stderr_drift));
         window.set("stable", metric_point(d.mean_drift + 2 * d.stderr_drift < 0.05 ? 1.0 : 0.0));
     }
+    return cell;
+}
+
+FigureResult run_fig12(const FigureContext& ctx)
+{
+    const std::uint64_t slots =
+        static_cast<std::uint64_t>(300000 * std::max(ctx.scale, 0.05));
+    // Fixed walk, EZ walk, drift estimate: each owns its Rng(ctx.seed).
+    FigureResult result = make_result(ctx);
+    result.cells = fan_out(ctx, 3, [&](int i) {
+        return i == 2 ? fig12_drift(ctx) : fig12_walk(ctx, i == 1, slots);
+    });
     return result;
 }
 
@@ -77,10 +86,10 @@ std::string pattern_key(const std::vector<int>& z)
     return key;
 }
 
-void table4_report(const FigureContext& ctx, FigureResult& result, const std::vector<double>& cw,
-                   const char* cw_label)
+RunResult table4_report(const FigureContext& ctx, const std::vector<double>& cw,
+                        const char* cw_label)
 {
-    RunResult& cell = result.add_cell(cw_label);
+    RunResult cell{cw_label, {}};
 
     model::RandomWalkModel::Config config;
     config.hops = 4;
@@ -103,13 +112,17 @@ void table4_report(const FigureContext& ctx, FigureResult& result, const std::ve
             window.set(key + ".monte_carlo", metric_point(observed));
         }
     }
+    return cell;
 }
 
 FigureResult run_table4(const FigureContext& ctx)
 {
     FigureResult result = make_result(ctx);
-    table4_report(ctx, result, {32, 32, 32, 32}, "cw = (32 32 32 32) [plain 802.11]");
-    table4_report(ctx, result, {512, 16, 16, 16}, "cw = (512 16 16 16) [EZ-flow stable]");
+    result.cells = fan_out(ctx, 2, [&](int i) {
+        return i == 0 ? table4_report(ctx, {32, 32, 32, 32}, "cw = (32 32 32 32) [plain 802.11]")
+                      : table4_report(ctx, {512, 16, 16, 16},
+                                      "cw = (512 16 16 16) [EZ-flow stable]");
+    });
     return result;
 }
 

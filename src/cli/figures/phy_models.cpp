@@ -38,27 +38,30 @@ FigureResult run_fading(const FigureContext& ctx)
     FigureResult result = make_result(ctx);
     const std::vector<SweepWindow> windows = {
         SweepWindow{"settled", 0.3 * duration_s, duration_s, {0}}};
-    for (const double doppler_hz : {0.0, 2.5, 10.0}) {
-        ScenarioSpec spec = ScenarioSpec::line(4, duration_s);
+    const std::vector<double> dopplers_hz = {0.0, 2.5, 10.0};
+    const std::vector<Mode> modes = {Mode::kBaseline80211, Mode::kEzFlow};
+    std::vector<ScenarioSpec> specs;
+    for (const double doppler_hz : dopplers_hz) {
+        ScenarioSpec& spec = specs.emplace_back(ScenarioSpec::line(4, duration_s));
         spec.models.propagation = phy::PhyModelConfig::Propagation::kJakes;
         spec.models.interference = phy::PhyModelConfig::Interference::kSinrLedger;
         spec.models.jakes_doppler_hz = doppler_hz;
         spec.models.noise_floor_w = noise_w;
-        const auto sweeps =
-            sweep_modes(ctx, spec, {Mode::kBaseline80211, Mode::kEzFlow}, windows);
-        for (const SweepResult& sweep : sweeps) {
-            RunResult cell = run_result_from_sweep(sweep, windows);
-            cell.label = "doppler " + util::Table::num(doppler_hz, 1) + " Hz / " + cell.label;
-            result.cells.push_back(std::move(cell));
-        }
+    }
+    const auto sweeps = sweep_modes(ctx, specs, modes, windows);
+    for (std::size_t c = 0; c < sweeps.size(); ++c) {
+        RunResult cell = run_result_from_sweep(sweeps[c], windows);
+        cell.label = "doppler " + util::Table::num(dopplers_hz[c / modes.size()], 1) + " Hz / " +
+                     cell.label;
+        result.cells.push_back(std::move(cell));
     }
     return result;
 }
 
 // -- rate_adapt: Minstrel vs fixed rate on a noisy 2-hop relay -----------
 
-void rate_adapt_run(const FigureContext& ctx, RunResult& cell, double hop_m, bool minstrel,
-                    bool ezflow, double duration_s)
+WindowResult rate_adapt_run(const FigureContext& ctx, double hop_m, bool minstrel, bool ezflow,
+                           double duration_s)
 {
     net::Network::Config config = net::default_config(ctx.seed);
     // SINR ledger with the per-rate decode floors as the only thresholds:
@@ -86,7 +89,7 @@ void rate_adapt_run(const FigureContext& ctx, RunResult& cell, double hop_m, boo
     network.run_until(util::from_seconds(duration_s));
 
     const double from = 0.4 * duration_s;
-    WindowResult& window = cell.add_window("hop " + util::Table::num(hop_m, 0) + " m");
+    WindowResult window{"hop " + util::Table::num(hop_m, 0) + " m", {}};
     window.set("goodput_kbps", metric_point(sink.goodput_kbps(0, util::from_seconds(from),
                                                               util::from_seconds(duration_s))));
     window.set("b1", metric_point(tracer.mean_occupancy(1, util::from_seconds(from),
@@ -96,24 +99,31 @@ void rate_adapt_run(const FigureContext& ctx, RunResult& cell, double hop_m, boo
                metric_point(manager != nullptr
                                 ? static_cast<double>(manager->best_rate_bps(0, 1)) / 1e6
                                 : static_cast<double>(network.config().phy.bitrate_bps) / 1e6));
+    return window;
 }
 
 FigureResult run_rate_adapt(const FigureContext& ctx)
 {
     const double duration_s = 1800.0 * ctx.scale;
-    FigureResult result = make_result(ctx);
     struct Variant {
         const char* label;
         bool minstrel;
         bool ezflow;
     };
-    for (const Variant v : {Variant{"802.11 / fixed 1 Mb/s", false, false},
-                            Variant{"802.11 / minstrel", true, false},
-                            Variant{"EZ-flow / minstrel", true, true}}) {
-        RunResult& cell = result.add_cell(v.label);
-        for (const double hop_m : {150.0, 190.0, 230.0})
-            rate_adapt_run(ctx, cell, hop_m, v.minstrel, v.ezflow, duration_s);
-    }
+    const std::vector<Variant> variants = {{"802.11 / fixed 1 Mb/s", false, false},
+                                           {"802.11 / minstrel", true, false},
+                                           {"EZ-flow / minstrel", true, true}};
+    const std::vector<double> hops_m = {150.0, 190.0, 230.0};
+    const int per_cell = static_cast<int>(hops_m.size());
+    auto windows = fan_out(ctx, static_cast<int>(variants.size()) * per_cell, [&](int i) {
+        const Variant& v = variants[static_cast<std::size_t>(i / per_cell)];
+        return rate_adapt_run(ctx, hops_m[static_cast<std::size_t>(i % per_cell)], v.minstrel,
+                              v.ezflow, duration_s);
+    });
+    FigureResult result = make_result(ctx);
+    std::vector<std::string> labels;
+    for (const Variant& v : variants) labels.push_back(v.label);
+    add_cells(result, labels, std::move(windows));
     return result;
 }
 

@@ -18,7 +18,7 @@ FigureResult run_fig06(const FigureContext& ctx)
     const Scenario1Periods periods(ctx.scale);
     const std::vector<Mode> modes = {Mode::kBaseline80211, Mode::kEzFlow};
     const auto windows = periods.windows();
-    const auto sweeps = sweep_modes(ctx, ScenarioSpec::scenario1(ctx.scale), modes, windows);
+    const auto sweeps = sweep_modes(ctx, {ScenarioSpec::scenario1(ctx.scale)}, modes, windows);
 
     FigureResult result = make_result(ctx);
     for (std::size_t m = 0; m < modes.size(); ++m) {
@@ -42,7 +42,7 @@ FigureResult run_fig07(const FigureContext& ctx)
     const double w2 = 0.3 * (periods.p2_end - periods.p2_begin);
     windows.push_back(SweepWindow{"transient", periods.p2_begin, periods.p2_begin + w2, {1, 2}});
     const std::vector<Mode> modes = {Mode::kBaseline80211, Mode::kEzFlow};
-    const auto sweeps = sweep_modes(ctx, ScenarioSpec::scenario1(ctx.scale), modes, windows);
+    const auto sweeps = sweep_modes(ctx, {ScenarioSpec::scenario1(ctx.scale)}, modes, windows);
 
     FigureResult result = make_result(ctx);
     for (std::size_t m = 0; m < modes.size(); ++m) {
@@ -70,7 +70,7 @@ FigureResult run_fig08(const FigureContext& ctx)
     const Scenario1Periods periods(ctx.scale);
     // The contention windows live in the per-seed CwTracers, so keep the
     // experiments alive rather than relying on FlowSummary aggregates.
-    const auto sweeps = sweep_modes(ctx, ScenarioSpec::scenario1(ctx.scale), {Mode::kEzFlow},
+    const auto sweeps = sweep_modes(ctx, {ScenarioSpec::scenario1(ctx.scale)}, {Mode::kEzFlow},
                                     periods.windows(), /*keep_experiments=*/true);
     const SweepResult& sweep = sweeps.front();
     const net::Scenario& scenario = sweep.experiments.front()->scenario();

@@ -17,7 +17,7 @@ FigureResult run_fig10(const FigureContext& ctx)
     const Scenario2Periods periods(ctx.scale);
     const std::vector<Mode> modes = {Mode::kBaseline80211, Mode::kEzFlow};
     const auto windows = periods.windows();
-    const auto sweeps = sweep_modes(ctx, ScenarioSpec::scenario2(ctx.scale), modes, windows);
+    const auto sweeps = sweep_modes(ctx, {ScenarioSpec::scenario2(ctx.scale)}, modes, windows);
 
     FigureResult result = make_result(ctx);
     for (std::size_t m = 0; m < modes.size(); ++m) {
@@ -44,7 +44,7 @@ double log_cw_before(const util::TimeSeries& trace, double t_s, double scale)
 FigureResult run_fig11(const FigureContext& ctx)
 {
     const Scenario2Periods periods(ctx.scale);
-    const auto sweeps = sweep_modes(ctx, ScenarioSpec::scenario2(ctx.scale), {Mode::kEzFlow},
+    const auto sweeps = sweep_modes(ctx, {ScenarioSpec::scenario2(ctx.scale)}, {Mode::kEzFlow},
                                     periods.windows(), /*keep_experiments=*/true);
     const SweepResult& sweep = sweeps.front();
     const net::Scenario& scenario = sweep.experiments.front()->scenario();
@@ -83,7 +83,7 @@ FigureResult run_table3(const FigureContext& ctx)
     const Scenario2Periods periods(ctx.scale);
     const std::vector<Mode> modes = {Mode::kBaseline80211, Mode::kEzFlow};
     const auto windows = periods.windows();
-    const auto sweeps = sweep_modes(ctx, ScenarioSpec::scenario2(ctx.scale), modes, windows);
+    const auto sweeps = sweep_modes(ctx, {ScenarioSpec::scenario2(ctx.scale)}, modes, windows);
 
     FigureResult result = make_result(ctx);
     for (const SweepResult& sweep : sweeps) result.cells.push_back(run_result_from_sweep(sweep, windows));

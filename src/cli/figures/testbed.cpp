@@ -19,7 +19,7 @@ struct FlowCase {
     std::vector<int> relays;  ///< labels of the relay nodes the paper plots
 };
 
-void fig04_case(const FigureContext& ctx, FigureResult& result, const FlowCase& fc, Mode mode)
+RunResult fig04_case(const FigureContext& ctx, const FlowCase& fc, Mode mode)
 {
     const double duration_s = 2000.0 * ctx.scale;
     // Activate only the flow under test (the other gets a null window).
@@ -34,7 +34,7 @@ void fig04_case(const FigureContext& ctx, FigureResult& result, const FlowCase& 
     Experiment exp(std::move(scenario), options);
     exp.run_until_s(duration_s);
 
-    RunResult& cell = result.add_cell(std::string(fc.name) + " / " + mode_name(mode));
+    RunResult cell{std::string(fc.name) + " / " + mode_name(mode), {}};
     WindowResult& window = cell.add_window("settled");
     const double warmup = 0.25 * duration_s;
     std::vector<std::pair<std::string, const util::TimeSeries*>> series;
@@ -57,17 +57,17 @@ void fig04_case(const FigureContext& ctx, FigureResult& result, const FlowCase& 
                       std::string("fig04_") + fc.name + "_" +
                           (mode == Mode::kEzFlow ? "ezflow" : "80211"),
                       series);
+    return cell;
 }
 
 FigureResult run_fig04(const FigureContext& ctx)
 {
+    const std::vector<FlowCase> cases = {{"F1", 1, {1, 2, 3}}, {"F2", 2, {4, 5, 6}}};
     FigureResult result = make_result(ctx);
-    const FlowCase f1{"F1", 1, {1, 2, 3}};
-    const FlowCase f2{"F2", 2, {4, 5, 6}};
-    for (const FlowCase& fc : {f1, f2}) {
-        fig04_case(ctx, result, fc, Mode::kBaseline80211);
-        fig04_case(ctx, result, fc, Mode::kEzFlow);
-    }
+    result.cells = fan_out(ctx, 4, [&](int i) {
+        return fig04_case(ctx, cases[static_cast<std::size_t>(i / 2)],
+                          i % 2 == 0 ? Mode::kBaseline80211 : Mode::kEzFlow);
+    });
     return result;
 }
 
@@ -91,17 +91,17 @@ double measure_link(const FigureContext& ctx, int link, double duration_s)
 FigureResult run_table1(const FigureContext& ctx)
 {
     const double duration_s = 1200.0 * ctx.scale;
+    const std::vector<double> kbps =
+        fan_out(ctx, 7, [&](int link) { return measure_link(ctx, link, duration_s); });
     FigureResult result = make_result(ctx);
-    RunResult& cell = result.add_cell("per-link capacity");
-    WindowResult& window = cell.add_window("isolation");
-    for (int l = 0; l < 7; ++l)
-        window.set("l" + std::to_string(l) + ".kbps",
-                   metric_point(measure_link(ctx, l, duration_s)));
+    WindowResult& window = result.add_cell("per-link capacity").add_window("isolation");
+    for (std::size_t l = 0; l < kbps.size(); ++l)
+        window.set("l" + std::to_string(l) + ".kbps", metric_point(kbps[l]));
     return result;
 }
 
-void table2_config(const FigureContext& ctx, FigureResult& result, bool f1_active, bool f2_active,
-                   Mode mode, double duration_s)
+RunResult table2_config(const FigureContext& ctx, bool f1_active, bool f2_active, Mode mode,
+                        double duration_s)
 {
     // Disabled flows get a zero-length window after the measured horizon.
     const double off = duration_s + 1.0;
@@ -116,7 +116,7 @@ void table2_config(const FigureContext& ctx, FigureResult& result, bool f1_activ
 
     const double warmup = 0.2 * duration_s;
     std::string label = f1_active && f2_active ? "both" : (f1_active ? "F1 alone" : "F2 alone");
-    RunResult& cell = result.add_cell(label + " / " + mode_name(mode));
+    RunResult cell{label + " / " + mode_name(mode), {}};
     WindowResult& window = cell.add_window("settled");
     if (f1_active) {
         const auto s = exp.summarize(1, warmup, duration_s);
@@ -130,17 +130,20 @@ void table2_config(const FigureContext& ctx, FigureResult& result, bool f1_activ
     }
     if (f1_active && f2_active)
         window.set("fairness", metric_point(exp.fairness({1, 2}, warmup, duration_s)));
+    return cell;
 }
 
 FigureResult run_table2(const FigureContext& ctx)
 {
     const double duration_s = 1800.0 * ctx.scale;
+    // Per mode: F1 alone, F2 alone, both.
+    const bool f1_active[] = {true, false, true};
+    const bool f2_active[] = {false, true, true};
     FigureResult result = make_result(ctx);
-    for (const Mode mode : {Mode::kBaseline80211, Mode::kEzFlow}) {
-        table2_config(ctx, result, true, false, mode, duration_s);
-        table2_config(ctx, result, false, true, mode, duration_s);
-        table2_config(ctx, result, true, true, mode, duration_s);
-    }
+    result.cells = fan_out(ctx, 6, [&](int i) {
+        return table2_config(ctx, f1_active[i % 3], f2_active[i % 3],
+                             i < 3 ? Mode::kBaseline80211 : Mode::kEzFlow, duration_s);
+    });
     return result;
 }
 

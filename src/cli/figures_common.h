@@ -1,6 +1,8 @@
 #pragma once
 
+#include <algorithm>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -11,30 +13,69 @@
 #include "cli/registry.h"
 #include "util/csv.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 
 // Shared plumbing for the registered figure runners — the successor of
 // the old bench/bench_common.h, producing structured FigureResults
 // instead of printf tables.
 namespace ezflow::cli {
 
-/// Fan `modes` x the context's seed grid across a thread pool; one
-/// ExperimentFactory cell per mode, results in mode order.
+/// Run fn(0) .. fn(count - 1) on the context's sweep threads
+/// (util::parallel_for) and return the products in index order, so a
+/// runner that assembles its cells from them serially writes the same
+/// JSON at any --threads. Each task must own everything it mutates (its
+/// Network or Experiment, its Rng, its --csv files). Read every
+/// ctx.extra_* flag before fanning out: those calls record the flag in
+/// FigureContext::extra_consumed, which is not thread-safe. The first
+/// exception a task throws is rethrown once every task has finished.
+template <typename Fn>
+auto fan_out(const FigureContext& ctx, int count, Fn&& fn)
+    -> std::vector<std::invoke_result_t<Fn&, int>>
+{
+    using Product = std::invoke_result_t<Fn&, int>;
+    // std::vector<bool> packs bits: concurrent writes to it would race.
+    static_assert(!std::is_same_v<Product, bool>, "fan_out: return a struct, not a bool");
+    std::vector<Product> products(static_cast<std::size_t>(std::max(count, 0)));
+    util::parallel_for(count, ctx.threads,
+                       [&](int i) { products[static_cast<std::size_t>(i)] = fn(i); });
+    return products;
+}
+
+/// Append one cell per label, in order, each taking the next
+/// windows.size() / labels.size() windows: the row-major cells x windows
+/// grid a fan_out over (cell, window) indices returns.
+inline void add_cells(analysis::FigureResult& result, const std::vector<std::string>& labels,
+                      std::vector<analysis::WindowResult> windows)
+{
+    const std::size_t per_cell = windows.size() / labels.size();
+    for (std::size_t c = 0; c < labels.size(); ++c) {
+        analysis::RunResult& cell = result.add_cell(labels[c]);
+        for (std::size_t w = 0; w < per_cell; ++w)
+            cell.windows.push_back(std::move(windows[c * per_cell + w]));
+    }
+}
+
+/// Fan `specs` x `modes` x the context's seed grid across one thread
+/// pool; one ExperimentFactory cell per (spec, mode), results spec-major
+/// in mode order.
 inline std::vector<analysis::SweepResult> sweep_modes(
-    const FigureContext& ctx, const analysis::ScenarioSpec& spec,
+    const FigureContext& ctx, const std::vector<analysis::ScenarioSpec>& specs,
     const std::vector<analysis::Mode>& modes, std::vector<analysis::SweepWindow> windows,
     bool keep_experiments = false)
 {
-    analysis::ScenarioSpec resolved = spec;
-    // --shards overrides the figure's shard budget; connected topologies
-    // collapse back to one shard, so this is always safe to pass.
-    if (ctx.shards > 0) resolved.shards = ctx.shards;
     std::vector<analysis::ExperimentFactory> cells;
-    cells.reserve(modes.size());
-    for (analysis::Mode mode : modes) {
-        analysis::ExperimentOptions options;
-        options.mode = mode;
-        options.streaming = ctx.streaming;
-        cells.emplace_back(resolved, options);
+    cells.reserve(specs.size() * modes.size());
+    for (const analysis::ScenarioSpec& spec : specs) {
+        analysis::ScenarioSpec resolved = spec;
+        // --shards overrides the figure's shard budget; connected
+        // topologies collapse back to one shard, so this is always safe.
+        if (ctx.shards > 0) resolved.shards = ctx.shards;
+        for (analysis::Mode mode : modes) {
+            analysis::ExperimentOptions options;
+            options.mode = mode;
+            options.streaming = ctx.streaming;
+            cells.emplace_back(resolved, options);
+        }
     }
     analysis::SweepConfig config;
     config.windows = std::move(windows);

@@ -1,9 +1,18 @@
 #include "net/network.h"
 
+#include <mutex>
 #include <stdexcept>
 #include <utility>
 
 namespace ezflow::net {
+
+namespace {
+
+// Behind perf_totals(): one lock per run_until, far off the event path.
+std::mutex g_perf_mutex;
+PerfTotals g_perf;
+
+}  // namespace
 
 Network::Network(Config config) : config_(std::move(config)), rng_(config_.seed)
 {
@@ -158,12 +167,58 @@ void Network::run_until(util::SimTime t)
 {
     if (shard_count() == 1) {
         shards_[0]->scheduler.run_until(t);
-        return;
+    } else {
+        // Workers share the one compiled table; compile it here, outside
+        // the epoch, so its lazy refresh never runs on a shard thread.
+        routing_table_.sync();
+        sharded_engine()->run_until(t);
     }
-    // Workers share the one compiled table; compile it here, outside the
-    // epoch, so its lazy refresh never runs on a shard thread.
-    routing_table_.sync();
-    sharded_engine()->run_until(t);
+    tally_perf();
+}
+
+void Network::tally_perf()
+{
+    const bool first_run = tallied_.empty();
+    tallied_.resize(shards_.size(), 0);
+    std::lock_guard<std::mutex> lock(g_perf_mutex);
+    if (first_run) {
+        ++g_perf.runs;
+        ++g_perf.runs_by_shards[shard_count()];
+    }
+    if (shard_count() > 1 && g_perf.shard_events.size() < shards_.size())
+        g_perf.shard_events.resize(shards_.size(), 0);
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+        const std::uint64_t processed = shards_[s]->scheduler.processed();
+        const std::uint64_t delta = processed - tallied_[s];
+        tallied_[s] = processed;
+        g_perf.events += delta;
+        if (shard_count() > 1) g_perf.shard_events[s] += delta;
+    }
+}
+
+PerfTotals perf_totals()
+{
+    std::lock_guard<std::mutex> lock(g_perf_mutex);
+    return g_perf;
+}
+
+PerfTotals PerfTotals::since(const PerfTotals& before) const
+{
+    PerfTotals delta = *this;
+    delta.events -= before.events;
+    delta.runs -= before.runs;
+    for (const auto& [shards, runs] : before.runs_by_shards) {
+        delta.runs_by_shards[shards] -= runs;
+        if (delta.runs_by_shards[shards] == 0) delta.runs_by_shards.erase(shards);
+    }
+    for (std::size_t s = 0; s < before.shard_events.size(); ++s)
+        delta.shard_events[s] -= before.shard_events[s];
+    return delta;
+}
+
+int PerfTotals::widest_shards() const
+{
+    return runs_by_shards.empty() ? 0 : runs_by_shards.rbegin()->first;
 }
 
 Network::Shard& Network::shard(int s)

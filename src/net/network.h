@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -33,6 +35,28 @@ struct ReferenceModeFlags {
     /// Discard any configured PHY models and run the reference PHY.
     bool force_reference_models = false;
 };
+
+/// Process-wide tally of simulation effort, added to as every
+/// Network::run_until returns. The CLI's [perf] line reports the
+/// difference of two snapshots; nothing here enters a result JSON, so
+/// byte-determinism across thread counts is untouched.
+struct PerfTotals {
+    std::uint64_t events = 0;  ///< scheduler events processed
+    std::uint64_t runs = 0;    ///< networks run (each counted once)
+    /// Runs by shard count (1 = the serial engine).
+    std::map<int, std::uint64_t> runs_by_shards;
+    /// Events processed per shard id by multi-shard runs.
+    std::vector<std::uint64_t> shard_events;
+
+    /// Field-by-field `*this - before`; totals only grow, so the
+    /// difference is what ran in between.
+    PerfTotals since(const PerfTotals& before) const;
+    /// Widest shard count among the tallied runs (0 when none ran).
+    int widest_shards() const;
+};
+
+/// Snapshot of the accumulated totals.
+PerfTotals perf_totals();
 
 /// Everything a simulation needs, wired together: scheduler, channel,
 /// nodes, routing. Owns all components; nodes are addressed by dense ids
@@ -155,8 +179,9 @@ public:
     void set_node_up(NodeId id);
     bool node_is_up(NodeId id) const { return node(id).is_up(); }
 
-    /// Advance simulated time. A sharded run first brings the compiled
-    /// routing table up to date, so shard workers only ever read it.
+    /// Advance simulated time, then add the events it took to
+    /// perf_totals(). A sharded run first brings the compiled routing
+    /// table up to date, so shard workers only ever read it.
     void run_until(util::SimTime t);
     util::SimTime now() const { return shards_[0]->scheduler.now(); }
 
@@ -173,6 +198,8 @@ private:
 
     Shard& shard(int s);
     const Shard& shard(int s) const;
+    /// Add the events processed since the last tally to perf_totals().
+    void tally_perf();
 
     Config config_;
     util::Rng rng_;
@@ -184,6 +211,8 @@ private:
     std::vector<std::unique_ptr<Node>> nodes_;
     int shard_threads_ = 0;
     std::unique_ptr<sim::ShardedEngine> engine_;
+    /// Per-shard processed counts at the last tally (empty: never run).
+    std::vector<std::uint64_t> tallied_;
 };
 
 }  // namespace ezflow::net

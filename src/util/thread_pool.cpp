@@ -70,12 +70,22 @@ void parallel_for(int count, int threads, const std::function<void(int)>& fn)
     int n = threads > 0 ? threads : static_cast<int>(std::thread::hardware_concurrency());
     if (n <= 0) n = 1;
     n = std::min(n, count);
+
+    std::exception_ptr first_error;
     if (n == 1) {
-        for (int i = 0; i < count; ++i) fn(i);
+        // Inline, with the pooled path's contract: every index runs, then
+        // the first exception is rethrown.
+        for (int i = 0; i < count; ++i) {
+            try {
+                fn(i);
+            } catch (...) {
+                if (!first_error) first_error = std::current_exception();
+            }
+        }
+        if (first_error) std::rethrow_exception(first_error);
         return;
     }
 
-    std::exception_ptr first_error;
     std::mutex error_mutex;
     {
         ThreadPool pool(n);

@@ -12,8 +12,8 @@ namespace ezflow::util {
 
 /// Fixed-size std::thread worker pool with a FIFO job queue.
 ///
-/// Used by analysis::SweepRunner to fan independent simulations across
-/// cores. Jobs must not touch shared mutable state unless they
+/// Used by analysis::SweepRunner and cli::fan_out to fan independent
+/// simulations across cores. Jobs must not touch shared mutable state unless they
 /// synchronize themselves; the sweep machinery gives every job its own
 /// Network and a dedicated result slot, so no job-side locking is needed.
 class ThreadPool {

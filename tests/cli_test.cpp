@@ -180,5 +180,84 @@ TEST(App, MalformedFigureFlagIsAUsageError)
     EXPECT_EQ(run_cli({"ezflow", "run", "grid_cross", "--smoke", "--quiet", "--cols=4x"}), 2);
 }
 
+TEST(App, PerfLinesAreDeltasPerFigure)
+{
+    // Every figure reports, and a sharded figure's shard count does not
+    // stick to the figures after it.
+    testing::internal::CaptureStdout();
+    const int rc = run_cli({"ezflow", "run", "islands", "grid_cross", "ablation_pacer", "fig12",
+                            "--smoke", "--shards=4"});
+    const std::string out = testing::internal::GetCapturedStdout();
+    EXPECT_EQ(rc, 0);
+    EXPECT_NE(out.find("[perf] islands: 4 shards"), std::string::npos) << out;
+    EXPECT_NE(out.find("[perf] grid_cross: "), std::string::npos) << out;
+    EXPECT_EQ(out.find("[perf] grid_cross: 4 shards"), std::string::npos) << out;
+    // ablation_pacer builds its networks outside SweepRunner.
+    const std::size_t pacer = out.find("[perf] ablation_pacer: ");
+    ASSERT_NE(pacer, std::string::npos) << out;
+    EXPECT_NE(out.substr(pacer, out.find('\n', pacer) - pacer).find("(3 runs)"),
+              std::string::npos)
+        << out;
+    EXPECT_NE(out.find("[perf] fig12: "), std::string::npos) << out;
+    EXPECT_NE(out.find("no network runs"), std::string::npos) << out;
+}
+
+TEST(App, FigureFlagsAreReadBeforeFanningOut)
+{
+    // quickstart reads --hops, then fans its two runs out: the flag is
+    // consumed (no unused-flag warning) and the JSON matches one thread.
+    const std::string out = testing::TempDir() + "ezflow_fanout_flags";
+    std::filesystem::remove_all(out);
+    for (const char* threads : {"1", "4"}) {
+        testing::internal::CaptureStderr();
+        const int rc = run_cli({"ezflow", "run", "quickstart", "--smoke", "--quiet", "--json-only",
+                                "--hops=3", std::string("--threads=") + threads,
+                                "--out=" + out + "/t" + threads});
+        const std::string errors = testing::internal::GetCapturedStderr();
+        EXPECT_EQ(rc, 0) << threads;
+        EXPECT_EQ(errors.find("warning"), std::string::npos) << errors;
+    }
+    const std::string serial = slurp(out + "/t1/quickstart.json");
+    EXPECT_NE(serial.find("N2.buf_mean"), std::string::npos);
+    EXPECT_EQ(serial.find("N3.buf_mean"), std::string::npos);  // --hops=3 took effect
+    EXPECT_EQ(serial, slurp(out + "/t4/quickstart.json"));
+    std::filesystem::remove_all(out);
+
+    // A malformed value is still a usage error naming the flag.
+    testing::internal::CaptureStderr();
+    testing::internal::CaptureStdout();
+    const int rc = run_cli({"ezflow", "run", "quickstart", "--smoke", "--quiet", "--hops=abc",
+                            "--threads=4"});
+    testing::internal::GetCapturedStdout();
+    const std::string errors = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(rc, 2);
+    EXPECT_NE(errors.find("--hops"), std::string::npos) << errors;
+}
+
+TEST(App, CsvDumpsFromFannedOutRunsMatchAcrossThreadCounts)
+{
+    // fig01 and fig04 write their --csv series from inside their tasks.
+    const std::string root = testing::TempDir() + "ezflow_fanout_csv";
+    std::filesystem::remove_all(root);
+    for (const char* threads : {"1", "4"})
+        ASSERT_EQ(run_cli({"ezflow", "run", "fig01", "fig04", "--smoke", "--quiet", "--json-only",
+                           std::string("--threads=") + threads,
+                           "--csv=" + root + "/t" + threads}),
+                  0);
+    int files = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(root + "/t1")) {
+        const std::string name = entry.path().filename();
+        EXPECT_EQ(slurp(entry.path()), slurp(root + "/t4/" + name)) << name;
+        ++files;
+    }
+    // fig01: the relays of its 3- and 4-hop chains; fig04: three relays
+    // in each of its four cases.
+    EXPECT_EQ(files, 2 + 3 + 4 * 3);
+    EXPECT_EQ(std::distance(std::filesystem::directory_iterator(root + "/t4"),
+                            std::filesystem::directory_iterator{}),
+              files);
+    std::filesystem::remove_all(root);
+}
+
 }  // namespace
 }  // namespace ezflow::cli

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/experiment_factory.h"
 #include "analysis/sweep.h"
+#include "cli/figures_common.h"
 #include "util/thread_pool.h"
 
 namespace ezflow::analysis {
@@ -174,6 +178,71 @@ TEST(ThreadPool, SubmitAndWaitIdle)
     for (int i = 0; i < 20; ++i) pool.submit([&done] { ++done; });
     pool.wait_idle();
     EXPECT_EQ(done.load(), 20);
+}
+
+cli::FigureContext context_with_threads(int threads)
+{
+    cli::FigureContext ctx;
+    ctx.threads = threads;
+    return ctx;
+}
+
+TEST(FanOut, ReturnsProductsInIndexOrder)
+{
+    for (const int threads : {1, 3, 8}) {
+        // The earliest indices sleep longest, so on several workers the
+        // tasks finish roughly in reverse order.
+        const int count = 24;
+        const std::vector<std::string> products =
+            cli::fan_out(context_with_threads(threads), count, [&](int i) {
+                std::this_thread::sleep_for(std::chrono::microseconds(300 * (count - i)));
+                return "task " + std::to_string(i);
+            });
+        ASSERT_EQ(products.size(), static_cast<std::size_t>(count)) << threads;
+        for (int i = 0; i < count; ++i)
+            EXPECT_EQ(products[static_cast<std::size_t>(i)], "task " + std::to_string(i))
+                << threads << " threads";
+    }
+}
+
+TEST(FanOut, ZeroAndOneTaskRunInline)
+{
+    int calls = 0;
+    const std::vector<int> none =
+        cli::fan_out(context_with_threads(8), 0, [&](int i) { return ++calls + i; });
+    EXPECT_TRUE(none.empty());
+    EXPECT_EQ(calls, 0);
+
+    const std::thread::id caller = std::this_thread::get_id();
+    const std::vector<std::thread::id> one = cli::fan_out(
+        context_with_threads(8), 1, [](int) { return std::this_thread::get_id(); });
+    ASSERT_EQ(one.size(), 1u);
+    EXPECT_EQ(one.front(), caller);
+}
+
+TEST(FanOut, RethrowsFirstExceptionAfterEveryTaskFinished)
+{
+    for (const int threads : {1, 3, 8}) {
+        std::atomic<int> finished{0};
+        std::atomic<bool> late_thrower_ran{false};
+        try {
+            cli::fan_out(context_with_threads(threads), 12, [&](int i) {
+                if (i == 0) throw std::runtime_error("first");
+                std::this_thread::sleep_for(std::chrono::milliseconds(i == 7 ? 30 : 5));
+                if (i == 7) {
+                    late_thrower_ran = true;
+                    throw std::logic_error("late");
+                }
+                ++finished;
+                return i;
+            });
+            ADD_FAILURE() << "no exception at " << threads << " threads";
+        } catch (const std::runtime_error& e) {
+            EXPECT_STREQ(e.what(), "first") << threads << " threads";
+        }
+        EXPECT_EQ(finished.load(), 10) << threads << " threads";
+        EXPECT_TRUE(late_thrower_ran.load()) << threads << " threads";
+    }
 }
 
 }  // namespace
