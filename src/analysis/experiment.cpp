@@ -98,31 +98,45 @@ const core::EzFlowAgent* Experiment::agent(net::NodeId node) const
     return it == agents_.end() ? nullptr : it->second.get();
 }
 
-Experiment::FlowSummary Experiment::summarize(int flow_id, double from_s, double to_s) const
+namespace {
+
+/// One flow's summary over [from_s, to_s): the computation behind both
+/// Experiment::summarize and RunRecord::summarize.
+Experiment::FlowSummary summarize_series(const util::TimeSeries& throughput,
+                                         const util::TimeSeries& delays,
+                                         const util::RunningStats& delay_us, bool streaming,
+                                         double from_s, double to_s)
 {
-    const auto it = throughput_.find(flow_id);
-    if (it == throughput_.end()) throw std::invalid_argument("Experiment::summarize: unknown flow");
     const util::SimTime from = util::from_seconds(from_s);
     const util::SimTime to = util::from_seconds(to_s);
-    FlowSummary summary;
-    summary.mean_kbps = it->second->mean_kbps(from, to);
-    summary.stddev_kbps = it->second->stddev_kbps(from, to);
-    summary.throughput_samples = it->second->samples(from, to);
-    if (options_.streaming) {
+    Experiment::FlowSummary summary;
+    summary.mean_kbps = throughput.mean_between(from, to);
+    summary.stddev_kbps = throughput.stddev_between(from, to);
+    summary.throughput_samples = throughput.count_between(from, to);
+    if (streaming) {
         // No delay series in streaming mode; report the whole-run stats.
-        const util::RunningStats& delays = sink_->flow(flow_id).delay_us;
-        summary.delay_samples = delays.count();
-        if (delays.count() > 0) {
-            summary.mean_delay_s = delays.mean() / static_cast<double>(util::kSecond);
-            summary.max_delay_s = delays.max() / static_cast<double>(util::kSecond);
+        summary.delay_samples = delay_us.count();
+        if (delay_us.count() > 0) {
+            summary.mean_delay_s = delay_us.mean() / static_cast<double>(util::kSecond);
+            summary.max_delay_s = delay_us.max() / static_cast<double>(util::kSecond);
         }
         return summary;
     }
-    const util::TimeSeries& delays = sink_->flow(flow_id).delay_series;
     summary.delay_samples = delays.count_between(from, to);
     summary.mean_delay_s = delays.mean_between(from, to) / static_cast<double>(util::kSecond);
     summary.max_delay_s = delays.max_between(from, to) / static_cast<double>(util::kSecond);
     return summary;
+}
+
+}  // namespace
+
+Experiment::FlowSummary Experiment::summarize(int flow_id, double from_s, double to_s) const
+{
+    const auto it = throughput_.find(flow_id);
+    if (it == throughput_.end()) throw std::invalid_argument("Experiment::summarize: unknown flow");
+    const traffic::Sink::FlowRecord& record = sink_->flow(flow_id);
+    return summarize_series(it->second->series(), record.delay_series, record.delay_us,
+                            options_.streaming, from_s, to_s);
 }
 
 double Experiment::fairness(const std::vector<int>& flow_ids, double from_s, double to_s) const
@@ -136,6 +150,50 @@ double Experiment::fairness(const std::vector<int>& flow_ids, double from_s, dou
             it->second->mean_kbps(util::from_seconds(from_s), util::from_seconds(to_s)));
     }
     return jain_index(rates);
+}
+
+RunRecord::RunRecord(Experiment& experiment)
+    : streaming_(experiment.options().streaming),
+      labels_(experiment.scenario().labels),
+      flows_(experiment.scenario().flows)
+{
+    for (const net::FlowPlan& plan : flows_) {
+        const traffic::Sink::FlowRecord& record = experiment.sink().flow(plan.flow_id);
+        flow_series_[plan.flow_id] = Flow{experiment.throughput(plan.flow_id).series(),
+                                          record.delay_series, record.delay_us};
+    }
+    if (!streaming_) {
+        for (net::NodeId node : experiment.transmitting_nodes())
+            cw_traces_.emplace(node, experiment.cw_tracer().trace(node));
+    }
+}
+
+const RunRecord::Flow& RunRecord::flow(int flow_id) const
+{
+    const auto it = flow_series_.find(flow_id);
+    if (it == flow_series_.end()) throw std::invalid_argument("RunRecord: unknown flow");
+    return it->second;
+}
+
+Experiment::FlowSummary RunRecord::summarize(int flow_id, double from_s, double to_s) const
+{
+    const Flow& f = flow(flow_id);
+    return summarize_series(f.throughput, f.delays, f.delay_us, streaming_, from_s, to_s);
+}
+
+const util::TimeSeries& RunRecord::throughput(int flow_id) const
+{
+    return flow(flow_id).throughput;
+}
+
+const util::TimeSeries& RunRecord::delays(int flow_id) const { return flow(flow_id).delays; }
+
+const util::TimeSeries& RunRecord::cw_trace(net::NodeId node) const
+{
+    if (streaming_) throw std::logic_error("RunRecord::cw_trace: no series in streaming mode");
+    const auto it = cw_traces_.find(node);
+    if (it == cw_traces_.end()) throw std::invalid_argument("RunRecord::cw_trace: untracked node");
+    return it->second;
 }
 
 }  // namespace ezflow::analysis

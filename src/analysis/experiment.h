@@ -67,6 +67,7 @@ public:
     CwTracer& cw_tracer() { return *cw_tracer_; }
     ThroughputMeter& throughput(int flow_id);
     const core::EzFlowAgent* agent(net::NodeId node) const;
+    const ExperimentOptions& options() const { return options_; }
 
     /// Mean/stddev goodput (kb/s) and mean delay (s) over [from_s, to_s).
     /// The sample counts distinguish a measured zero from an unmeasured
@@ -108,6 +109,44 @@ private:
     std::map<net::NodeId, std::unique_ptr<core::EzFlowAgent>> agents_;
     std::vector<net::NodeId> transmitters_;
     std::unique_ptr<sim::FaultInjector> fault_injector_;
+};
+
+/// What figures read of one finished Experiment once its Network is gone:
+/// the scenario's node labels and flow plan, each flow's goodput and
+/// delay series, and the contention-window traces of its transmitting
+/// nodes. Summaries read from a record are bit-identical to the
+/// Experiment's own. Copying a record allocates every series at its exact
+/// size on the copying thread.
+class RunRecord {
+public:
+    /// Copy the measurements of a finished run.
+    explicit RunRecord(Experiment& experiment);
+
+    const std::map<net::NodeId, std::string>& labels() const { return labels_; }
+    const std::vector<net::FlowPlan>& flows() const { return flows_; }
+
+    /// As Experiment::summarize.
+    Experiment::FlowSummary summarize(int flow_id, double from_s, double to_s) const;
+    /// As Experiment::throughput(flow_id).series().
+    const util::TimeSeries& throughput(int flow_id) const;
+    /// As Experiment::sink().flow(flow_id).delay_series.
+    const util::TimeSeries& delays(int flow_id) const;
+    /// As Experiment::cw_tracer().trace(node): throws in streaming mode.
+    const util::TimeSeries& cw_trace(net::NodeId node) const;
+
+private:
+    struct Flow {
+        util::TimeSeries throughput;  ///< kb/s per throughput window
+        util::TimeSeries delays;      ///< per-delivery network delay (empty when streaming)
+        util::RunningStats delay_us;  ///< whole-run network delay
+    };
+    const Flow& flow(int flow_id) const;
+
+    bool streaming_;
+    std::map<net::NodeId, std::string> labels_;
+    std::vector<net::FlowPlan> flows_;
+    std::map<int, Flow> flow_series_;
+    std::map<net::NodeId, util::TimeSeries> cw_traces_;  ///< empty when streaming
 };
 
 }  // namespace ezflow::analysis

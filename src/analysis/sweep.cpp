@@ -9,20 +9,13 @@
 
 namespace ezflow::analysis {
 
-namespace {
-
-/// Run one (cell, seed) task to completion and summarize every window.
-SeedResult run_one(const ExperimentFactory& factory, const SweepConfig& config,
-                   std::uint64_t seed, std::unique_ptr<Experiment>* keep)
+std::unique_ptr<Experiment> run_audited(const ExperimentFactory& factory, std::uint64_t seed)
 {
     std::unique_ptr<Experiment> experiment = factory.make(seed);
     experiment->run();
-    // Every swept run balances its packet ledger: the losses must
-    // partition into the named drop buckets (throws on a leak or a
-    // double-count, so the goldens cannot absorb an accounting bug).
-    // Interceptor runs (EZ-Flow pacers) cannot balance and are skipped —
-    // announce that coverage gap once per process instead of silently
-    // returning an all-zero ledger.
+    // Interceptor runs (EZ-Flow pacers) cannot balance their ledger and
+    // are skipped: announce that coverage gap once per process instead
+    // of silently returning an all-zero ledger.
     if (audit_drop_accounting(*experiment).skipped()) {
         static std::atomic<bool> warned{false};
         if (!warned.exchange(true, std::memory_order_relaxed))
@@ -31,34 +24,14 @@ SeedResult run_one(const ExperimentFactory& factory, const SweepConfig& config,
                          "interceptors (pacer holds packets outside the MAC queues); "
                          "conservation is unchecked there\n");
     }
-
-    SeedResult result;
-    result.seed = seed;
-    result.windows.reserve(config.windows.size());
-    for (const SweepWindow& window : config.windows) {
-        SeedResult::Window measured;
-        measured.flows.reserve(window.flow_ids.size());
-        for (int flow_id : window.flow_ids) {
-            const auto summary = experiment->summarize(flow_id, window.from_s, window.to_s);
-            measured.aggregate_kbps += summary.mean_kbps;
-            measured.flows.push_back(summary);
-        }
-        measured.fairness = window.flow_ids.empty()
-                                ? 1.0
-                                : experiment->fairness(window.flow_ids, window.from_s, window.to_s);
-        result.windows.push_back(std::move(measured));
-    }
-    if (keep != nullptr) *keep = std::move(experiment);
-    return result;
+    return experiment;
 }
 
-/// Serial, seed-ordered merge of per-seed measurements — the aggregation
-/// order is fixed so sweeps are bit-identical across thread counts.
-void aggregate(const SweepConfig& config, SweepResult& sweep)
+void aggregate(const std::vector<SweepWindow>& windows, SweepResult& sweep)
 {
-    sweep.windows.assign(config.windows.size(), WindowAggregate{});
-    for (std::size_t w = 0; w < config.windows.size(); ++w)
-        sweep.windows[w].flows.assign(config.windows[w].flow_ids.size(), FlowAggregate{});
+    sweep.windows.assign(windows.size(), WindowAggregate{});
+    for (std::size_t w = 0; w < windows.size(); ++w)
+        sweep.windows[w].flows.assign(windows[w].flow_ids.size(), FlowAggregate{});
 
     for (const SeedResult& seed_result : sweep.per_seed) {
         for (std::size_t w = 0; w < seed_result.windows.size(); ++w) {
@@ -87,8 +60,6 @@ void aggregate(const SweepConfig& config, SweepResult& sweep)
     }
 }
 
-}  // namespace
-
 SweepResult SweepRunner::run(const ExperimentFactory& factory, const SweepConfig& config) const
 {
     std::vector<SweepResult> results = run_grid({factory}, config);
@@ -115,12 +86,12 @@ std::vector<SweepResult> SweepRunner::run_grid(const std::vector<ExperimentFacto
     util::parallel_for(task_count, threads_, [&](int task) {
         const std::size_t c = static_cast<std::size_t>(task) / seeds;
         const std::size_t s = static_cast<std::size_t>(task) % seeds;
-        std::unique_ptr<Experiment>* keep =
-            config.keep_experiments ? &results[c].experiments[s] : nullptr;
-        results[c].per_seed[s] = run_one(cells[c], config, config.seeds[s], keep);
+        std::unique_ptr<Experiment> experiment = run_audited(cells[c], config.seeds[s]);
+        results[c].per_seed[s] = summarize_windows(*experiment, config.seeds[s], config.windows);
+        if (config.keep_experiments) results[c].experiments[s] = std::move(experiment);
     });
 
-    for (SweepResult& result : results) aggregate(config, result);
+    for (SweepResult& result : results) aggregate(config.windows, result);
     return results;
 }
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "analysis/experiment_factory.h"
+#include "analysis/metrics.h"
 #include "util/stats.h"
 
 namespace ezflow::analysis {
@@ -67,6 +68,45 @@ struct SweepResult {
     std::vector<WindowAggregate> windows;  ///< parallel to config.windows
     std::vector<std::unique_ptr<Experiment>> experiments;  ///< when kept
 };
+
+/// The "run" half of a sweep task: build the experiment for `seed`, run
+/// it to completion and audit its packet ledger (throws on a leak or a
+/// double-count, so the goldens cannot absorb an accounting bug).
+std::unique_ptr<Experiment> run_audited(const ExperimentFactory& factory, std::uint64_t seed);
+
+/// The "summarize" half of a sweep task: every window's per-flow
+/// summaries, their aggregate goodput and Jain's index over them, read
+/// from a finished run: an Experiment, or the RunRecord kept of one
+/// (both summarize bit-identically).
+template <typename Run>
+SeedResult summarize_windows(const Run& run, std::uint64_t seed,
+                             const std::vector<SweepWindow>& windows)
+{
+    SeedResult result;
+    result.seed = seed;
+    result.windows.reserve(windows.size());
+    for (const SweepWindow& window : windows) {
+        SeedResult::Window measured;
+        measured.flows.reserve(window.flow_ids.size());
+        std::vector<double> rates;
+        rates.reserve(window.flow_ids.size());
+        for (int flow_id : window.flow_ids) {
+            const Experiment::FlowSummary summary =
+                run.summarize(flow_id, window.from_s, window.to_s);
+            measured.aggregate_kbps += summary.mean_kbps;
+            rates.push_back(summary.mean_kbps);
+            measured.flows.push_back(summary);
+        }
+        measured.fairness = rates.empty() ? 1.0 : jain_index(rates);
+        result.windows.push_back(std::move(measured));
+    }
+    return result;
+}
+
+/// Serial, seed-ordered merge of sweep.per_seed into sweep.windows: the
+/// aggregation order is fixed so sweeps are bit-identical across thread
+/// counts.
+void aggregate(const std::vector<SweepWindow>& windows, SweepResult& sweep);
 
 /// Fans an experiment grid (modes x seeds x scenario knobs, expressed as
 /// ExperimentFactory cells x SweepConfig seeds) across a std::thread

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "analysis/result_diff.h"
+#include "cli/figures_common.h"
 #include "cli/registry.h"
 #include "net/network.h"
 #include "util/cli.h"
@@ -189,20 +190,29 @@ std::string format_magnitude(double value)
 }
 
 /// Wall-time/event-rate line for one figure run: `wall` is the figure
-/// call itself, `perf` what every Network it ran tallied meanwhile.
+/// call itself, `perf` what every Network it ran tallied meanwhile, and
+/// `reused` the runs it read from the command's shared runs instead.
 /// Reported to the console only — the result JSON stays byte-deterministic
 /// across thread counts and machines.
-void print_perf(const FigureSpec& spec, double wall, const net::PerfTotals& perf)
+void print_perf(const FigureSpec& spec, double wall, const net::PerfTotals& perf,
+                std::uint64_t reused)
 {
-    if (perf.runs == 0) {
+    if (perf.runs == 0 && reused == 0) {
         std::printf("[perf] %s: %.2f s wall, no network runs\n", spec.name.c_str(), wall);
         return;
     }
+    const auto count = [](std::uint64_t n, const char* what) {
+        return std::to_string(n) + (n == 1 ? " run" : " runs") + what;
+    };
+    std::string runs;
+    if (perf.runs > 0) runs = count(perf.runs, "");
+    if (reused > 0) runs += (runs.empty() ? "" : ", ") + count(reused, " reused");
     const double events = static_cast<double>(perf.events);
-    std::printf("[perf] %s: %.2f s wall, %s events, %s events/s (%llu run%s)\n",
-                spec.name.c_str(), wall, format_magnitude(events).c_str(),
-                format_magnitude(wall > 0.0 ? events / wall : 0.0).c_str(),
-                static_cast<unsigned long long>(perf.runs), perf.runs == 1 ? "" : "s");
+    std::string rate;
+    if (perf.runs > 0)
+        rate = ", " + format_magnitude(wall > 0.0 ? events / wall : 0.0) + " events/s";
+    std::printf("[perf] %s: %.2f s wall, %s events%s (%s)\n", spec.name.c_str(), wall,
+                format_magnitude(events).c_str(), rate.c_str(), runs.c_str());
     const int shards = perf.widest_shards();
     if (shards > 1) {
         // At most this many per-shard counts; wider runs end in "...".
@@ -293,11 +303,13 @@ int run_one(const FigureSpec& spec, const RunFlags& flags)
     try {
         if (!ctx.csv_dir.empty()) fs::create_directories(ctx.csv_dir);
         const net::PerfTotals perf_before = net::perf_totals();
+        const std::uint64_t reused_before = shared_runs_reused();
         const auto started = std::chrono::steady_clock::now();
         const analysis::FigureResult result = spec.run(ctx);
         const double wall =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
         const net::PerfTotals perf = net::perf_totals().since(perf_before);
+        const std::uint64_t reused = shared_runs_reused() - reused_before;
         for (const auto& [name, value] : ctx.extra) {
             if (ctx.extra_consumed.count(name) == 0)
                 std::fprintf(stderr, "ezflow: warning: --%s is not used by figure '%s'\n",
@@ -305,7 +317,7 @@ int run_one(const FigureSpec& spec, const RunFlags& flags)
         }
         if (!flags.quiet) {
             print_report(spec, result);
-            print_perf(spec, wall, perf);
+            print_perf(spec, wall, perf, reused);
         }
         if (!write_outputs(flags, result)) return 1;
     } catch (const FlagError& e) {
@@ -406,6 +418,9 @@ int cmd_sweep(const util::Cli& cli)
             // reports are suppressed; without it, printing is all there is.
             if (!out_root.empty()) point_flags.quiet = true;
             rc = std::max(rc, run_one(*spec, point_flags));
+            // Each point simulates afresh, so a threads axis still times
+            // the runs rather than reading the previous point's.
+            clear_shared_runs();
         }
     }
     return rc;
@@ -490,6 +505,11 @@ int cmd_diff(const util::Cli& cli)
 
 int run_app(int argc, char** argv)
 {
+    // The shared paper-scenario runs live as long as one command: a
+    // second command in the same process simulates afresh.
+    struct ClearSharedRuns {
+        ~ClearSharedRuns() { clear_shared_runs(); }
+    } clear_on_return;
     const util::Cli cli(argc, argv);
     if (cli.positional().empty()) return usage("missing command");
     const std::string& command = cli.positional().front();

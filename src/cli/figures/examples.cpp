@@ -110,17 +110,12 @@ FigureResult run_backhaul_gateway(const FigureContext& ctx)
     // Measure the settled two-flow regime of the paper's timeline.
     const double both_begin = (605.0 + 360.0) * ctx.scale;
     const double both_end = 1804.0 * ctx.scale;
-    SweepConfig config;
-    config.windows.push_back(SweepWindow{"both flows", both_begin, both_end, {1, 2}});
-    config.seeds = ctx.seed_grid();
-
-    const ExperimentFactory baseline(ScenarioSpec::scenario1(ctx.scale), {});
-    const auto sweeps = SweepRunner(ctx.threads).run_grid(
-        {baseline, baseline.with_mode(Mode::kEzFlow)}, config);
+    const std::vector<SweepWindow> windows = {{"both flows", both_begin, both_end, {1, 2}}};
 
     FigureResult result = make_result(ctx);
-    for (const SweepResult& sweep : sweeps)
-        result.cells.push_back(run_result_from_sweep(sweep, config.windows));
+    for (const SharedCell& cell : shared_runs(ctx, ScenarioSpec::Kind::kScenario1,
+                                              {Mode::kBaseline80211, Mode::kEzFlow}, windows))
+        result.cells.push_back(run_result_from_sweep(cell.sweep, windows));
     return result;
 }
 

@@ -15,20 +15,17 @@ using namespace ezflow::analysis;
 
 FigureResult run_fig06(const FigureContext& ctx)
 {
-    const Scenario1Periods periods(ctx.scale);
+    const auto windows = Scenario1Periods(ctx.scale).windows();
     const std::vector<Mode> modes = {Mode::kBaseline80211, Mode::kEzFlow};
-    const auto windows = periods.windows();
-    const auto sweeps = sweep_modes(ctx, {ScenarioSpec::scenario1(ctx.scale)}, modes, windows);
+    const auto cells = shared_runs(ctx, ScenarioSpec::Kind::kScenario1, modes, windows);
 
     FigureResult result = make_result(ctx);
     for (std::size_t m = 0; m < modes.size(); ++m) {
-        result.cells.push_back(run_result_from_sweep(sweeps[m], windows));
-        if (!sweeps[m].experiments.empty()) {
-            Experiment& first = *sweeps[m].experiments.front();
-            maybe_dump_series(
-                ctx, std::string("fig06_") + (modes[m] == Mode::kEzFlow ? "ezflow" : "80211"),
-                {{"F1", &first.throughput(1).series()}, {"F2", &first.throughput(2).series()}});
-        }
+        result.cells.push_back(run_result_from_sweep(cells[m].sweep, windows));
+        const RunRecord& first = *cells[m].runs.front();
+        maybe_dump_series(ctx,
+                          std::string("fig06_") + (modes[m] == Mode::kEzFlow ? "ezflow" : "80211"),
+                          {{"F1", &first.throughput(1)}, {"F2", &first.throughput(2)}});
     }
     return result;
 }
@@ -42,18 +39,15 @@ FigureResult run_fig07(const FigureContext& ctx)
     const double w2 = 0.3 * (periods.p2_end - periods.p2_begin);
     windows.push_back(SweepWindow{"transient", periods.p2_begin, periods.p2_begin + w2, {1, 2}});
     const std::vector<Mode> modes = {Mode::kBaseline80211, Mode::kEzFlow};
-    const auto sweeps = sweep_modes(ctx, {ScenarioSpec::scenario1(ctx.scale)}, modes, windows);
+    const auto cells = shared_runs(ctx, ScenarioSpec::Kind::kScenario1, modes, windows);
 
     FigureResult result = make_result(ctx);
     for (std::size_t m = 0; m < modes.size(); ++m) {
-        result.cells.push_back(run_result_from_sweep(sweeps[m], windows));
-        if (!sweeps[m].experiments.empty()) {
-            Experiment& first = *sweeps[m].experiments.front();
-            maybe_dump_series(
-                ctx, std::string("fig07_") + (modes[m] == Mode::kEzFlow ? "ezflow" : "80211"),
-                {{"F1", &first.sink().flow(1).delay_series},
-                 {"F2", &first.sink().flow(2).delay_series}});
-        }
+        result.cells.push_back(run_result_from_sweep(cells[m].sweep, windows));
+        const RunRecord& first = *cells[m].runs.front();
+        maybe_dump_series(ctx,
+                          std::string("fig07_") + (modes[m] == Mode::kEzFlow ? "ezflow" : "80211"),
+                          {{"F1", &first.delays(1)}, {"F2", &first.delays(2)}});
     }
     return result;
 }
@@ -68,12 +62,12 @@ double log_cw_at(const util::TimeSeries& trace, double t_s, double scale)
 FigureResult run_fig08(const FigureContext& ctx)
 {
     const Scenario1Periods periods(ctx.scale);
-    // The contention windows live in the per-seed CwTracers, so keep the
-    // experiments alive rather than relying on FlowSummary aggregates.
-    const auto sweeps = sweep_modes(ctx, {ScenarioSpec::scenario1(ctx.scale)}, {Mode::kEzFlow},
-                                    periods.windows(), /*keep_experiments=*/true);
-    const SweepResult& sweep = sweeps.front();
-    const net::Scenario& scenario = sweep.experiments.front()->scenario();
+    // The contention windows live in the per-seed CW traces, not in the
+    // FlowSummary aggregates.
+    const auto cells =
+        shared_runs(ctx, ScenarioSpec::Kind::kScenario1, {Mode::kEzFlow}, periods.windows());
+    const SharedCell& cell = cells.front();
+    const auto& labels_of_run = cell.runs.front()->labels();
 
     // The nodes the paper plots: the two sources (N12, N11), the first
     // relays of each branch (N10, N9, N8, N7) and a trunk relay (N4).
@@ -84,24 +78,22 @@ FigureResult run_fig08(const FigureContext& ctx)
     const char* window_names[] = {"F1 alone", "F1 + F2", "end"};
 
     FigureResult result = make_result(ctx);
-    RunResult& cell = result.add_cell(sweep.label);
+    RunResult& run_result = result.add_cell(cell.sweep.label);
     std::vector<std::pair<std::string, const util::TimeSeries*>> series;
     for (int t = 0; t < 3; ++t) {
-        WindowResult& window = cell.add_window(window_names[t]);
+        WindowResult& window = run_result.add_window(window_names[t]);
         for (const std::string& label : labels) {
-            const int node = label_to_node(scenario, label);
+            const int node = label_to_node(labels_of_run, label);
             if (node < 0) continue;
             util::RunningStats stats;
-            for (const auto& experiment : sweep.experiments)
-                stats.add(
-                    log_cw_at(experiment->cw_tracer().trace(node), sample_times[t], ctx.scale));
+            for (const auto& run : cell.runs)
+                stats.add(log_cw_at(run->cw_trace(node), sample_times[t], ctx.scale));
             window.set(label + ".log2_cw", metric_from_stats(stats));
         }
     }
     for (const std::string& label : labels) {
-        const int node = label_to_node(scenario, label);
-        if (node >= 0)
-            series.emplace_back(label, &sweep.experiments.front()->cw_tracer().trace(node));
+        const int node = label_to_node(labels_of_run, label);
+        if (node >= 0) series.emplace_back(label, &cell.runs.front()->cw_trace(node));
     }
     maybe_dump_series(ctx, "fig08_cw", series);
     return result;

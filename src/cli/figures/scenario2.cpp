@@ -14,22 +14,19 @@ using namespace ezflow::analysis;
 
 FigureResult run_fig10(const FigureContext& ctx)
 {
-    const Scenario2Periods periods(ctx.scale);
+    const auto windows = Scenario2Periods(ctx.scale).windows();
     const std::vector<Mode> modes = {Mode::kBaseline80211, Mode::kEzFlow};
-    const auto windows = periods.windows();
-    const auto sweeps = sweep_modes(ctx, {ScenarioSpec::scenario2(ctx.scale)}, modes, windows);
+    const auto cells = shared_runs(ctx, ScenarioSpec::Kind::kScenario2, modes, windows);
 
     FigureResult result = make_result(ctx);
     for (std::size_t m = 0; m < modes.size(); ++m) {
-        result.cells.push_back(run_result_from_sweep(sweeps[m], windows));
-        if (!sweeps[m].experiments.empty()) {
-            Experiment& first = *sweeps[m].experiments.front();
-            maybe_dump_series(
-                ctx, std::string("fig10_") + (modes[m] == Mode::kEzFlow ? "ezflow" : "80211"),
-                {{"F1", &first.sink().flow(1).delay_series},
-                 {"F2", &first.sink().flow(2).delay_series},
-                 {"F3", &first.sink().flow(3).delay_series}});
-        }
+        result.cells.push_back(run_result_from_sweep(cells[m].sweep, windows));
+        const RunRecord& first = *cells[m].runs.front();
+        maybe_dump_series(ctx,
+                          std::string("fig10_") + (modes[m] == Mode::kEzFlow ? "ezflow" : "80211"),
+                          {{"F1", &first.delays(1)},
+                           {"F2", &first.delays(2)},
+                           {"F3", &first.delays(3)}});
     }
     return result;
 }
@@ -44,10 +41,10 @@ double log_cw_before(const util::TimeSeries& trace, double t_s, double scale)
 FigureResult run_fig11(const FigureContext& ctx)
 {
     const Scenario2Periods periods(ctx.scale);
-    const auto sweeps = sweep_modes(ctx, {ScenarioSpec::scenario2(ctx.scale)}, {Mode::kEzFlow},
-                                    periods.windows(), /*keep_experiments=*/true);
-    const SweepResult& sweep = sweeps.front();
-    const net::Scenario& scenario = sweep.experiments.front()->scenario();
+    const auto cells =
+        shared_runs(ctx, ScenarioSpec::Kind::kScenario2, {Mode::kEzFlow}, periods.windows());
+    const SharedCell& cell = cells.front();
+    const auto& labels_of_run = cell.runs.front()->labels();
 
     // The paper plots cw0, cw1 (F1), cw10, cw11 (F2), cw19, cw20 (F3).
     const std::vector<std::string> labels = {"N0", "N1", "N10", "N11", "N19", "N20"};
@@ -55,24 +52,22 @@ FigureResult run_fig11(const FigureContext& ctx)
     const char* window_names[] = {"P1", "P2", "P3"};
 
     FigureResult result = make_result(ctx);
-    RunResult& cell = result.add_cell(sweep.label);
+    RunResult& run_result = result.add_cell(cell.sweep.label);
     for (int t = 0; t < 3; ++t) {
-        WindowResult& window = cell.add_window(window_names[t]);
+        WindowResult& window = run_result.add_window(window_names[t]);
         for (const std::string& label : labels) {
-            const int node = label_to_node(scenario, label);
+            const int node = label_to_node(labels_of_run, label);
             if (node < 0) continue;
             util::RunningStats stats;
-            for (const auto& experiment : sweep.experiments)
-                stats.add(log_cw_before(experiment->cw_tracer().trace(node), sample_times[t],
-                                        ctx.scale));
+            for (const auto& run : cell.runs)
+                stats.add(log_cw_before(run->cw_trace(node), sample_times[t], ctx.scale));
             window.set(label + ".log2_cw", metric_from_stats(stats));
         }
     }
     std::vector<std::pair<std::string, const util::TimeSeries*>> series;
     for (const std::string& label : labels) {
-        const int node = label_to_node(scenario, label);
-        if (node >= 0)
-            series.emplace_back(label, &sweep.experiments.front()->cw_tracer().trace(node));
+        const int node = label_to_node(labels_of_run, label);
+        if (node >= 0) series.emplace_back(label, &cell.runs.front()->cw_trace(node));
     }
     maybe_dump_series(ctx, "fig11_cw", series);
     return result;
@@ -80,13 +75,11 @@ FigureResult run_fig11(const FigureContext& ctx)
 
 FigureResult run_table3(const FigureContext& ctx)
 {
-    const Scenario2Periods periods(ctx.scale);
-    const std::vector<Mode> modes = {Mode::kBaseline80211, Mode::kEzFlow};
-    const auto windows = periods.windows();
-    const auto sweeps = sweep_modes(ctx, {ScenarioSpec::scenario2(ctx.scale)}, modes, windows);
-
+    const auto windows = Scenario2Periods(ctx.scale).windows();
     FigureResult result = make_result(ctx);
-    for (const SweepResult& sweep : sweeps) result.cells.push_back(run_result_from_sweep(sweep, windows));
+    for (const SharedCell& cell : shared_runs(ctx, ScenarioSpec::Kind::kScenario2,
+                                              {Mode::kBaseline80211, Mode::kEzFlow}, windows))
+        result.cells.push_back(run_result_from_sweep(cell.sweep, windows));
     return result;
 }
 

@@ -1,6 +1,9 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
+#include <memory>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -55,39 +58,64 @@ inline void add_cells(analysis::FigureResult& result, const std::vector<std::str
     }
 }
 
+/// The sweep cell of `spec` under `mode` with the context's --shards and
+/// --streaming applied. shared_runs keys its kept runs by these knobs,
+/// so any further context knob read here must join that key too.
+inline analysis::ExperimentFactory context_cell(const FigureContext& ctx,
+                                                analysis::ScenarioSpec spec, analysis::Mode mode)
+{
+    // --shards overrides the figure's shard budget; connected
+    // topologies collapse back to one shard, so this is always safe.
+    if (ctx.shards > 0) spec.shards = ctx.shards;
+    analysis::ExperimentOptions options;
+    options.mode = mode;
+    options.streaming = ctx.streaming;
+    return analysis::ExperimentFactory(spec, options);
+}
+
 /// Fan `specs` x `modes` x the context's seed grid across one thread
 /// pool; one ExperimentFactory cell per (spec, mode), results spec-major
 /// in mode order.
 inline std::vector<analysis::SweepResult> sweep_modes(
     const FigureContext& ctx, const std::vector<analysis::ScenarioSpec>& specs,
-    const std::vector<analysis::Mode>& modes, std::vector<analysis::SweepWindow> windows,
-    bool keep_experiments = false)
+    const std::vector<analysis::Mode>& modes, std::vector<analysis::SweepWindow> windows)
 {
     std::vector<analysis::ExperimentFactory> cells;
     cells.reserve(specs.size() * modes.size());
-    for (const analysis::ScenarioSpec& spec : specs) {
-        analysis::ScenarioSpec resolved = spec;
-        // --shards overrides the figure's shard budget; connected
-        // topologies collapse back to one shard, so this is always safe.
-        if (ctx.shards > 0) resolved.shards = ctx.shards;
-        for (analysis::Mode mode : modes) {
-            analysis::ExperimentOptions options;
-            options.mode = mode;
-            options.streaming = ctx.streaming;
-            cells.emplace_back(resolved, options);
-        }
-    }
+    for (const analysis::ScenarioSpec& spec : specs)
+        for (analysis::Mode mode : modes) cells.push_back(context_cell(ctx, spec, mode));
     analysis::SweepConfig config;
     config.windows = std::move(windows);
     config.seeds = ctx.seed_grid();
-    config.keep_experiments = keep_experiments || !ctx.csv_dir.empty();
-    auto results = analysis::SweepRunner(ctx.threads).run_grid(cells, config);
-    if (!keep_experiments) {
-        for (analysis::SweepResult& result : results)
-            if (result.experiments.size() > 1) result.experiments.resize(1);
-    }
-    return results;
+    return analysis::SweepRunner(ctx.threads).run_grid(cells, config);
 }
+
+/// One mode's cell of a paper scenario's shared runs: the sweep over the
+/// figure's windows (label, per-seed and aggregated summaries) and the
+/// kept record of every run, in seed-grid order.
+struct SharedCell {
+    analysis::SweepResult sweep;
+    std::vector<std::shared_ptr<const analysis::RunRecord>> runs;
+};
+
+/// Sweep paper scenario `kind` (kScenario1 or kScenario2, at ctx.scale)
+/// over `modes` x the context's seed grid, simulating each run at most
+/// once per command: Figs. 6-8 and backhaul_gateway view one scenario-1
+/// experiment, Figs. 10-11 and Table 3 one scenario-2 experiment. Runs
+/// are kept by (kind, ctx.scale, seed, mode, ctx.streaming, ctx.shards);
+/// misses fan out on the sweep pool. Results are in mode order and
+/// byte-identical to a fresh sweep_modes over the same grid.
+std::vector<SharedCell> shared_runs(const FigureContext& ctx, analysis::ScenarioSpec::Kind kind,
+                                    const std::vector<analysis::Mode>& modes,
+                                    const std::vector<analysis::SweepWindow>& windows);
+
+/// Free every kept run; the CLI calls this as each command returns and
+/// after each sweep point.
+void clear_shared_runs();
+
+/// Runs shared_runs served from the kept ones instead of simulating,
+/// since the process started (a [perf] line reports the difference).
+std::uint64_t shared_runs_reused();
 
 /// Start a FigureResult stamped with the context's run options.
 inline analysis::FigureResult make_result(const FigureContext& ctx)
@@ -178,9 +206,10 @@ inline void maybe_dump_series(
 }
 
 /// Node id for a paper label like "N12" (-1 when absent).
-inline int label_to_node(const net::Scenario& scenario, const std::string& label)
+inline int label_to_node(const std::map<net::NodeId, std::string>& labels,
+                         const std::string& label)
 {
-    for (const auto& [id, l] : scenario.labels)
+    for (const auto& [id, l] : labels)
         if (l == label) return id;
     return -1;
 }

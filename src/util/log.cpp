@@ -1,14 +1,15 @@
 #include "util/log.h"
 
 #include <iostream>
+#include <mutex>
 
 namespace ezflow::util {
 
-LogLevel Log::level_ = LogLevel::kOff;
+std::atomic<LogLevel> Log::level_{LogLevel::kOff};
 
-LogLevel Log::level() { return level_; }
+LogLevel Log::level() { return level_.load(std::memory_order_relaxed); }
 
-void Log::set_level(LogLevel level) { level_ = level; }
+void Log::set_level(LogLevel level) { level_.store(level, std::memory_order_relaxed); }
 
 LogLevel Log::parse_level(const std::string& name)
 {
@@ -23,7 +24,9 @@ LogLevel Log::parse_level(const std::string& name)
 
 void Log::write(LogLevel level, SimTime now, const std::string& message)
 {
-    if (level_ < level) return;
+    if (Log::level() < level) return;
+    static std::mutex mutex;
+    const std::lock_guard<std::mutex> lock(mutex);
     if (now >= 0)
         std::cerr << "[" << to_seconds(now) << "s] " << message << '\n';
     else

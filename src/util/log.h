@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <sstream>
 #include <string>
 
@@ -10,8 +11,10 @@ namespace ezflow::util {
 enum class LogLevel { kOff = 0, kError, kWarn, kInfo, kDebug, kTrace };
 
 /// Global simulator log. Off by default so tests/benches stay quiet;
-/// examples turn it up with --log=debug. Not thread-safe by design —
-/// the simulator is single-threaded (and deterministic because of it).
+/// examples turn it up with --log=debug. Sweep and shard workers may log
+/// concurrently: the level is an atomic read relaxed (a level change
+/// orders nothing else), and write() emits each line whole under one
+/// mutex.
 class Log {
 public:
     static LogLevel level();
@@ -23,7 +26,7 @@ public:
     static void write(LogLevel level, SimTime now, const std::string& message);
 
 private:
-    static LogLevel level_;
+    static std::atomic<LogLevel> level_;
 };
 
 #define EZF_LOG(lvl, now, expr)                                               \

@@ -11,6 +11,7 @@
 
 #include "cli/app.h"
 #include "cli/figures.h"
+#include "cli/figures_common.h"
 
 namespace ezflow::cli {
 namespace {
@@ -200,6 +201,116 @@ TEST(App, PerfLinesAreDeltasPerFigure)
         << out;
     EXPECT_NE(out.find("[perf] fig12: "), std::string::npos) << out;
     EXPECT_NE(out.find("no network runs"), std::string::npos) << out;
+
+    // A figure served wholly from the command's shared runs says so; it
+    // did run networks, just not itself.
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(run_cli({"ezflow", "run", "fig06", "fig07", "--smoke"}), 0);
+    const std::string shared = testing::internal::GetCapturedStdout();
+    const std::size_t fig07 = shared.find("[perf] fig07: ");
+    ASSERT_NE(fig07, std::string::npos) << shared;
+    const std::string line = shared.substr(fig07, shared.find('\n', fig07) - fig07);
+    EXPECT_NE(line.find(" 0 events (4 runs reused)"), std::string::npos) << line;
+    EXPECT_EQ(shared.find("no network runs"), std::string::npos) << shared;
+}
+
+/// The [perf] line of `figure` in a run's captured stdout.
+std::string perf_line(const std::string& out, const std::string& figure)
+{
+    const std::size_t at = out.find("[perf] " + figure + ": ");
+    return at == std::string::npos ? "" : out.substr(at, out.find('\n', at) - at);
+}
+
+TEST(App, SharedScenarioFiguresMatchGoldensInAnyOrder)
+{
+    // Figs. 6-8 and backhaul_gateway view one scenario-1 experiment,
+    // Figs. 10-11 and Table 3 one scenario-2 experiment. In forward order
+    // the two-mode figures run first; in the second order the EZ-only
+    // figures miss first and the later ones hit partly, then wholly.
+    const std::vector<std::vector<std::string>> orders = {
+        {"fig06", "fig07", "fig08", "backhaul_gateway", "fig10", "fig11", "table3"},
+        {"fig11", "fig08", "table3", "backhaul_gateway", "fig10", "fig07", "fig06"},
+    };
+    for (std::size_t o = 0; o < orders.size(); ++o) {
+        const std::string out = testing::TempDir() + "ezflow_shared_" + std::to_string(o);
+        std::filesystem::remove_all(out);
+        std::vector<std::string> args = {"ezflow", "run"};
+        args.insert(args.end(), orders[o].begin(), orders[o].end());
+        for (const char* flag : {"--smoke", "--quiet", "--json-only", "--threads=4"})
+            args.emplace_back(flag);
+        args.push_back("--out=" + out);
+        ASSERT_EQ(run_cli(args), 0) << o;
+        for (const std::string& figure : orders[o]) {
+            const std::string golden =
+                slurp(std::string(EZFLOW_GOLDENS_DIR) + "/" + figure + ".json");
+            ASSERT_FALSE(golden.empty()) << figure;
+            EXPECT_EQ(slurp(out + "/" + figure + ".json"), golden) << figure << ", order " << o;
+        }
+        std::filesystem::remove_all(out);
+    }
+}
+
+TEST(App, EachCommandSimulatesItsOwnRuns)
+{
+    // The shared runs live for one command: a second command in the same
+    // process simulates again, so in-process timings compare real runs.
+    for (const char* threads : {"--threads=1", "--threads=4"}) {
+        testing::internal::CaptureStdout();
+        EXPECT_EQ(run_cli({"ezflow", "run", "fig08", "--smoke", threads}), 0);
+        const std::string line = perf_line(testing::internal::GetCapturedStdout(), "fig08");
+        EXPECT_NE(line.find("(2 runs)"), std::string::npos) << threads << ": " << line;
+    }
+    // Likewise every point of a sweep, so a threads axis times real runs.
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(run_cli({"ezflow", "sweep", "fig08", "--grid=threads=1:4", "--smoke"}), 0);
+    const std::string out = testing::internal::GetCapturedStdout();
+    const std::size_t second = out.find("[sweep] fig08_threads4");
+    ASSERT_NE(second, std::string::npos) << out;
+    EXPECT_NE(perf_line(out, "fig08").find("(2 runs)"), std::string::npos) << out;
+    EXPECT_NE(perf_line(out.substr(second), "fig08").find("(2 runs)"), std::string::npos) << out;
+}
+
+TEST(SharedRuns, KeyedByEveryKnobTheRunDependsOn)
+{
+    register_builtin_figures();
+    FigureContext ctx;
+    ctx.spec = FigureRegistry::instance().find("fig06");
+    ctx.scale = 0.02;
+    ctx.seed = 3;
+    ctx.seeds = 1;
+    ctx.threads = 2;
+    const std::vector<analysis::SweepWindow> windows = {{"all", 0.0, 60.0, {1, 2}}};
+    const std::vector<analysis::Mode> both = {analysis::Mode::kBaseline80211,
+                                              analysis::Mode::kEzFlow};
+    const auto reused_by = [&](const FigureContext& c, const std::vector<analysis::Mode>& modes) {
+        const std::uint64_t before = shared_runs_reused();
+        shared_runs(c, analysis::ScenarioSpec::Kind::kScenario1, modes, windows);
+        return shared_runs_reused() - before;
+    };
+    clear_shared_runs();
+    EXPECT_EQ(reused_by(ctx, {analysis::Mode::kEzFlow}), 0u);
+    EXPECT_EQ(reused_by(ctx, both), 1u);  // the EZ-flow run is kept
+    EXPECT_EQ(reused_by(ctx, both), 2u);
+
+    FigureContext other = ctx;
+    other.seeds = 2;  // seeds 3 and 4: seed 3 is kept
+    EXPECT_EQ(reused_by(other, both), 2u);
+    other = ctx;
+    other.streaming = true;
+    EXPECT_EQ(reused_by(other, both), 0u);
+    other = ctx;
+    other.shards = 2;
+    EXPECT_EQ(reused_by(other, both), 0u);
+    other = ctx;
+    other.scale = 0.03;
+    EXPECT_EQ(reused_by(other, both), 0u);
+    EXPECT_EQ(reused_by(ctx, both), 2u);
+
+    clear_shared_runs();
+    EXPECT_EQ(reused_by(ctx, both), 0u);
+    EXPECT_THROW(shared_runs(ctx, analysis::ScenarioSpec::Kind::kLine, both, windows),
+                 std::invalid_argument);
+    clear_shared_runs();
 }
 
 TEST(App, FigureFlagsAreReadBeforeFanningOut)

@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -11,6 +13,7 @@
 #include "analysis/experiment_factory.h"
 #include "analysis/sweep.h"
 #include "cli/figures_common.h"
+#include "util/log.h"
 #include "util/thread_pool.h"
 
 namespace ezflow::analysis {
@@ -78,6 +81,60 @@ TEST(SweepRunner, SameSeedGridIsBitIdenticalAcrossThreadCounts)
     const std::vector<SweepResult> again = SweepRunner(4).run_grid(cells, config);
     expect_identical(threaded[0], again[0]);
     expect_identical(threaded[1], again[1]);
+}
+
+TEST(SweepRunner, RunRecordsSummarizeLikeRunGrid)
+{
+    // The shared-runs path (run + audit, keep a RunRecord, summarize it
+    // later) and run_grid share one summarization and one aggregation:
+    // one grid cell must come out bit-identical either way, also from a
+    // copy of the record made on another thread.
+    const SweepConfig config = small_config();
+    const ExperimentFactory factory = small_factory(Mode::kEzFlow);
+    const SweepResult reference = SweepRunner(1).run(factory, config);
+
+    SweepResult from_records;
+    from_records.label = factory.label();
+    for (std::uint64_t seed : config.seeds) {
+        std::unique_ptr<RunRecord> record;
+        std::thread worker(
+            [&] { record = std::make_unique<RunRecord>(*run_audited(factory, seed)); });
+        worker.join();
+        const RunRecord rehomed = *record;
+        record.reset();
+        from_records.per_seed.push_back(summarize_windows(rehomed, seed, config.windows));
+    }
+    aggregate(config.windows, from_records);
+    EXPECT_EQ(from_records.label, reference.label);
+    expect_identical(reference, from_records);
+    for (std::size_t s = 0; s < config.seeds.size(); ++s) {
+        const auto& a = reference.per_seed[s].windows.front().flows.front();
+        const auto& b = from_records.per_seed[s].windows.front().flows.front();
+        EXPECT_EQ(a.throughput_samples, b.throughput_samples);
+        EXPECT_EQ(a.delay_samples, b.delay_samples);
+    }
+}
+
+TEST(RunRecord, KeepsTheSeriesFiguresRead)
+{
+    const ExperimentFactory factory = small_factory(Mode::kEzFlow);
+    std::unique_ptr<Experiment> experiment = run_audited(factory, 7);
+    const RunRecord record(*experiment);
+    EXPECT_EQ(record.labels(), experiment->scenario().labels);
+    ASSERT_EQ(record.flows().size(), experiment->scenario().flows.size());
+    EXPECT_EQ(record.throughput(0).values(), experiment->throughput(0).series().values());
+    EXPECT_EQ(record.delays(0).times(), experiment->sink().flow(0).delay_series.times());
+    for (net::NodeId node : experiment->transmitting_nodes())
+        EXPECT_EQ(record.cw_trace(node).values(), experiment->cw_tracer().trace(node).values());
+    EXPECT_THROW(record.throughput(9), std::invalid_argument);
+    EXPECT_THROW(record.cw_trace(99), std::invalid_argument);
+
+    // Streaming runs keep no CW series, as their tracer.
+    ExperimentOptions streaming = factory.options();
+    streaming.streaming = true;
+    const RunRecord streamed(*run_audited(ExperimentFactory(factory.spec(), streaming), 7));
+    EXPECT_THROW(streamed.cw_trace(experiment->transmitting_nodes().front()), std::logic_error);
+    EXPECT_GT(streamed.summarize(0, 7.0, 11.0).delay_samples, 0);
 }
 
 TEST(SweepRunner, SeedsActuallyVaryTheRuns)
@@ -243,6 +300,30 @@ TEST(FanOut, RethrowsFirstExceptionAfterEveryTaskFinished)
         EXPECT_EQ(finished.load(), 10) << threads << " threads";
         EXPECT_TRUE(late_thrower_ran.load()) << threads << " threads";
     }
+}
+
+TEST(Log, ConcurrentWritersEmitWholeLines)
+{
+    // Sweep workers may log at once: every line must come out whole, and
+    // level changes racing with writes must be safe (run under TSan).
+    const util::LogLevel saved = util::Log::level();
+    testing::internal::CaptureStderr();
+    util::parallel_for(8, 4, [](int i) {
+        util::Log::set_level(util::LogLevel::kInfo);
+        for (int line = 0; line < 20; ++line)
+            EZF_LOG(util::LogLevel::kInfo, -1, "worker " << i << " line " << line << " end");
+    });
+    const std::string out = testing::internal::GetCapturedStderr();
+    util::Log::set_level(saved);
+    std::istringstream lines(out);
+    std::string line;
+    int count = 0;
+    while (std::getline(lines, line)) {
+        ++count;
+        EXPECT_EQ(line.rfind("worker ", 0), 0u) << line;
+        EXPECT_EQ(line.size() - line.rfind(" end"), 4u) << line;
+    }
+    EXPECT_EQ(count, 8 * 20);
 }
 
 }  // namespace
