@@ -77,7 +77,6 @@ std::vector<SweepResult> SweepRunner::run_grid(const std::vector<ExperimentFacto
     for (std::size_t c = 0; c < cells.size(); ++c) {
         results[c].label = cells[c].label();
         results[c].per_seed.resize(seeds);
-        if (config.keep_experiments) results[c].experiments.resize(seeds);
     }
 
     // One task per (cell, seed); every task owns its Network and writes
@@ -88,7 +87,8 @@ std::vector<SweepResult> SweepRunner::run_grid(const std::vector<ExperimentFacto
         const std::size_t s = static_cast<std::size_t>(task) % seeds;
         std::unique_ptr<Experiment> experiment = run_audited(cells[c], config.seeds[s]);
         results[c].per_seed[s] = summarize_windows(*experiment, config.seeds[s], config.windows);
-        if (config.keep_experiments) results[c].experiments[s] = std::move(experiment);
+        if (config.keep_first_experiment && s == 0)
+            results[c].first_experiment = std::move(experiment);
     });
 
     for (SweepResult& result : results) aggregate(config.windows, result);

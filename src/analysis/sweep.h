@@ -24,9 +24,10 @@ struct SweepWindow {
 struct SweepConfig {
     std::vector<SweepWindow> windows;
     std::vector<std::uint64_t> seeds;
-    /// Keep every per-seed Experiment alive in the result (time series,
-    /// tracers) — used by figure drivers that also plot one run's traces.
-    bool keep_experiments = false;
+    /// Keep each cell's first-seed Experiment alive in the result (time
+    /// series, agents) for figure drivers that also read one run's
+    /// traces; every other seed's run is freed once summarized.
+    bool keep_first_experiment = false;
 };
 
 /// Per-seed measurements for one grid cell, in config order.
@@ -66,7 +67,8 @@ struct SweepResult {
     std::string label;                  ///< factory label, for reports
     std::vector<SeedResult> per_seed;   ///< parallel to config.seeds
     std::vector<WindowAggregate> windows;  ///< parallel to config.windows
-    std::vector<std::unique_ptr<Experiment>> experiments;  ///< when kept
+    /// The run of config.seeds.front(), when kept.
+    std::unique_ptr<Experiment> first_experiment;
 };
 
 /// The "run" half of a sweep task: build the experiment for `seed`, run

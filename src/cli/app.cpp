@@ -30,7 +30,7 @@ int usage(const char* message = nullptr)
     std::printf(
         "usage: ezflow <command> [args]\n"
         "\n"
-        "  list  [--category=figure|table|ablation|example|micro]\n"
+        "  list  [--category=figure|table|ablation|example]\n"
         "        enumerate the registered scenarios/figures\n"
         "  run   <figure...> [--scale=F] [--seed=N] [--seeds=K] [--threads=T]\n"
         "        [--shards=S] [--streaming] [--out=DIR] [--csv=DIR] [--smoke] [--all]\n"
@@ -254,24 +254,15 @@ bool write_outputs(const RunFlags& flags, const analysis::FigureResult& result)
 }
 
 std::vector<const FigureSpec*> resolve_figures(const std::vector<std::string>& names,
-                                               bool all_runnable, std::string& error)
+                                               bool all, std::string& error)
 {
     FigureRegistry& registry = FigureRegistry::instance();
+    if (all) return registry.list();
     std::vector<const FigureSpec*> specs;
-    if (all_runnable) {
-        for (const FigureSpec* spec : registry.list())
-            if (spec->runnable()) specs.push_back(spec);
-        return specs;
-    }
     for (const std::string& name : names) {
         const FigureSpec* spec = registry.find(name);
         if (spec == nullptr) {
             error = "unknown figure '" + name + "' (see `ezflow list`)";
-            return {};
-        }
-        if (!spec->runnable()) {
-            error = "'" + name + "' is a standalone " + spec->category +
-                    " harness; run build/bench/" + name + " directly";
             return {};
         }
         specs.push_back(spec);
@@ -287,9 +278,8 @@ int cmd_list(const util::Cli& cli)
     for (const FigureSpec* spec : FigureRegistry::instance().list()) {
         if (!category.empty() && spec->category != category) continue;
         table.add_row({spec->name + (spec->aka.empty() ? "" : " (" + spec->aka + ")"),
-                       spec->category + (spec->runnable() ? "" : " [standalone]"),
-                       util::Table::num(spec->default_scale, 2), std::to_string(spec->default_seeds),
-                       spec->title});
+                       spec->category, util::Table::num(spec->default_scale, 2),
+                       std::to_string(spec->default_seeds), spec->title});
     }
     std::printf("%s", table.to_string().c_str());
     std::printf("%zu entries. `ezflow run <name>` runs one; `ezflow help` for flags.\n",

@@ -83,7 +83,7 @@ FigureResult run_parking_lot(const FigureContext& ctx)
     SweepConfig config;
     config.windows.push_back(SweepWindow{"settled", 0.3 * duration_s, duration_s, {1, 2}});
     config.seeds = ctx.seed_grid();
-    config.keep_experiments = true;  // to read the EZ agents' final windows
+    config.keep_first_experiment = true;  // to read the EZ agents' final windows
 
     const auto sweeps = SweepRunner(ctx.threads).run_grid(
         {baseline, baseline.with_mode(Mode::kEzFlow)}, config);
@@ -93,7 +93,7 @@ FigureResult run_parking_lot(const FigureContext& ctx)
         result.cells.push_back(run_result_from_sweep(sweep, config.windows));
 
     // The self-throttled source windows of the first EZ-Flow run.
-    const Experiment& ez = *sweeps[1].experiments.front();
+    const Experiment& ez = *sweeps[1].first_experiment;
     const net::Scenario& s = ez.scenario();
     WindowResult& window = result.cells.back().windows.front();
     window.set("F1.source_cw",

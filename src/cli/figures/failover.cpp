@@ -6,6 +6,9 @@
 // incremental route repair end to end.
 
 #include <algorithm>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/drop_audit.h"
@@ -69,33 +72,57 @@ double reconvergence_time_s(Experiment& experiment, const std::vector<int>& flow
     return horizon;
 }
 
-/// Custom failover metrics, aggregated across the kept per-seed
-/// experiments: goodput dip depth, re-convergence time, stranded
-/// packets, and the injector's repair counters.
-void add_failover_metrics(RunResult& cell, const SweepResult& sweep,
-                          const std::vector<SweepWindow>& windows,
-                          const FailoverTimeline& timeline)
+/// One failover run, read inside its sweep task: the window summaries
+/// plus the run's own failover numbers, so only the first seed's whole
+/// Experiment (kept for the --csv timeline) outlives its task.
+struct FailoverRun {
+    SeedResult windows;
+    double reconv_s = 0.0;
+    double stranded = 0.0;
+    double backoffs = 0.0;
+    double rerouted = 0.0;
+    double suspended = 0.0;
+    double restored = 0.0;
+    std::unique_ptr<Experiment> kept;  ///< first seed only
+};
+
+FailoverRun measure_failover(Experiment& experiment, std::uint64_t seed,
+                             const std::vector<SweepWindow>& windows,
+                             const FailoverTimeline& timeline)
+{
+    FailoverRun run;
+    run.windows = summarize_windows(experiment, seed, windows);
+    const double pre = run.windows.windows[0].aggregate_kbps;
+    run.reconv_s = reconvergence_time_s(experiment, windows[0].flow_ids, timeline, pre);
+    const DropLedger ledger = collect_drop_ledger(experiment);
+    run.stranded = static_cast<double>(ledger.drops_node_down + ledger.drops_unroutable);
+    for (const auto& source : experiment.sources())
+        run.backoffs += static_cast<double>(source->stats().backoff_retries);
+    const sim::FaultInjector* injector = experiment.fault_injector();
+    run.rerouted = static_cast<double>(injector->stats().flows_rerouted);
+    run.suspended = static_cast<double>(injector->stats().flows_suspended);
+    run.restored = static_cast<double>(injector->stats().flows_restored);
+    return run;
+}
+
+/// Custom failover metrics, aggregated across one cell's runs in seed
+/// order: goodput dip depth, re-convergence time, stranded packets, and
+/// the injector's repair counters.
+void add_failover_metrics(RunResult& cell, const std::vector<const FailoverRun*>& runs)
 {
     util::RunningStats dip_ratio, recovery_ratio, reconv_s, stranded, backoffs;
     util::RunningStats rerouted, suspended, restored;
-    for (std::size_t s = 0; s < sweep.per_seed.size(); ++s) {
-        const SeedResult& seed = sweep.per_seed[s];
+    for (const FailoverRun* run : runs) {
+        const SeedResult& seed = run->windows;
         const double pre = seed.windows[0].aggregate_kbps;
         dip_ratio.add(pre > 0.0 ? seed.windows[1].aggregate_kbps / pre : 1.0);
         recovery_ratio.add(pre > 0.0 ? seed.windows[2].aggregate_kbps / pre : 1.0);
-
-        Experiment& experiment = *sweep.experiments[s];
-        reconv_s.add(reconvergence_time_s(experiment, windows[0].flow_ids, timeline, pre));
-        const DropLedger ledger = collect_drop_ledger(experiment);
-        stranded.add(static_cast<double>(ledger.drops_node_down + ledger.drops_unroutable));
-        double retries = 0.0;
-        for (const auto& source : experiment.sources())
-            retries += static_cast<double>(source->stats().backoff_retries);
-        backoffs.add(retries);
-        const sim::FaultInjector* injector = experiment.fault_injector();
-        rerouted.add(static_cast<double>(injector->stats().flows_rerouted));
-        suspended.add(static_cast<double>(injector->stats().flows_suspended));
-        restored.add(static_cast<double>(injector->stats().flows_restored));
+        reconv_s.add(run->reconv_s);
+        stranded.add(run->stranded);
+        backoffs.add(run->backoffs);
+        rerouted.add(run->rerouted);
+        suspended.add(run->suspended);
+        restored.add(run->restored);
     }
     WindowResult& outage = cell.windows[1];
     outage.set("goodput_dip_ratio", metric_from_stats(dip_ratio));
@@ -137,28 +164,39 @@ FigureResult run_failover(const FigureContext& ctx, net::NodeId victim,
             std::max<util::SimTime>(util::from_seconds(grid.duration_s / 60.0), 1);
         cells.emplace_back(spec, options);
     }
-    SweepConfig config;
-    config.windows = windows;
-    config.seeds = ctx.seed_grid();
-    config.keep_experiments = true;
-    const auto sweeps = SweepRunner(ctx.threads).run_grid(cells, config);
-    for (std::size_t m = 0; m < sweeps.size(); ++m) {
-        const SweepResult& sweep = sweeps[m];
+    // One task per (cell, seed), as SweepRunner::run_grid fans them out.
+    const std::vector<std::uint64_t> seeds = ctx.seed_grid();
+    const int task_count = static_cast<int>(cells.size() * seeds.size());
+    auto runs = fan_out(ctx, task_count, [&](int task) {
+        const std::size_t c = static_cast<std::size_t>(task) / seeds.size();
+        const std::size_t s = static_cast<std::size_t>(task) % seeds.size();
+        std::unique_ptr<Experiment> experiment = run_audited(cells[c], seeds[s]);
+        FailoverRun run = measure_failover(*experiment, seeds[s], windows, timeline);
+        if (s == 0) run.kept = std::move(experiment);
+        return run;
+    });
+    for (std::size_t m = 0; m < cells.size(); ++m) {
+        SweepResult sweep;
+        sweep.label = cells[m].label();
+        std::vector<const FailoverRun*> cell_runs;
+        for (std::size_t s = 0; s < seeds.size(); ++s) {
+            const FailoverRun& run = runs[m * seeds.size() + s];
+            sweep.per_seed.push_back(run.windows);
+            cell_runs.push_back(&run);
+        }
+        aggregate(windows, sweep);
         RunResult cell = run_result_from_sweep(sweep, windows);
         cell.label += " / " + victim_label;
-        add_failover_metrics(cell, sweep, windows, timeline);
+        add_failover_metrics(cell, cell_runs);
         result.cells.push_back(std::move(cell));
-        if (!sweep.experiments.empty()) {
-            // First-seed per-flow goodput timeline: the dip-and-recovery
-            // curve the figure's windowed numbers summarize.
-            Experiment& first = *sweep.experiments.front();
-            std::vector<std::pair<std::string, const util::TimeSeries*>> series;
-            for (int f = 1; f <= grid.sources; ++f)
-                series.emplace_back("F" + std::to_string(f), &first.throughput(f).series());
-            maybe_dump_series(ctx,
-                              ctx.spec->name + std::string(m == 0 ? "_80211" : "_ezflow"),
-                              series);
-        }
+        // First-seed per-flow goodput timeline: the dip-and-recovery
+        // curve the figure's windowed numbers summarize.
+        Experiment& first = *runs[m * seeds.size()].kept;
+        std::vector<std::pair<std::string, const util::TimeSeries*>> series;
+        for (int f = 1; f <= grid.sources; ++f)
+            series.emplace_back("F" + std::to_string(f), &first.throughput(f).series());
+        maybe_dump_series(ctx, ctx.spec->name + std::string(m == 0 ? "_80211" : "_ezflow"),
+                          series);
     }
     return result;
 }

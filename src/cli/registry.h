@@ -56,7 +56,7 @@ struct FigureContext {
 struct FigureSpec {
     std::string name;        ///< canonical short name ("fig06", "table2", ...)
     std::string aka;         ///< former bench/example target name, also resolvable
-    std::string category;    ///< "figure" | "table" | "ablation" | "example" | "micro"
+    std::string category;    ///< "figure" | "table" | "ablation" | "example"
     std::string title;       ///< one-line description for `ezflow list`
     std::string paper_ref;   ///< which paper artifact it reproduces
     std::string expectation; ///< the qualitative shape the paper predicts
@@ -67,8 +67,7 @@ struct FigureSpec {
     double smoke_scale = 0.05;
     int smoke_seeds = 2;
 
-    /// Null for external entries (the google-benchmark micro harnesses),
-    /// which are listed but not runnable through the CLI.
+    /// The runner; every built-in entry has one (cli_test checks).
     std::function<analysis::FigureResult(const FigureContext&)> run;
 
     bool runnable() const { return static_cast<bool>(run); }
@@ -95,7 +94,7 @@ private:
     std::map<std::string, FigureSpec> specs_;  ///< keyed by canonical name
 };
 
-/// Register every figure/table/ablation/example/micro entry exactly once
+/// Register every figure/table/ablation/example entry exactly once
 /// (idempotent; safe to call from every entry point and test).
 void register_builtin_figures();
 

@@ -53,7 +53,6 @@ void Channel::set_models(const PhyModelConfig& config, std::uint64_t network_see
     set_rate_manager(make_rate_manager(config));
     set_interference_mode(config.interference);
     if (config.noise_floor_w >= 0.0) params_.noise_floor_w = config.noise_floor_w;
-    if (config.weighted_overlap) params_.weighted_overlap_interference = true;
 }
 
 void Channel::set_propagation_model(std::unique_ptr<PropagationModel> model)
@@ -118,13 +117,12 @@ void Channel::ensure_reach()
     }
 }
 
-std::size_t Channel::reachable_count(net::NodeId tx)
+const std::vector<Channel::ReachEntry>& Channel::reach_list(net::NodeId tx)
 {
     const auto it = index_by_id_.find(tx);
-    if (it == index_by_id_.end())
-        throw std::invalid_argument("Channel::reachable_count: unknown node");
+    if (it == index_by_id_.end()) throw std::invalid_argument("Channel::reach_list: unknown node");
     ensure_reach();
-    return reach_[it->second].size();
+    return reach_[it->second];
 }
 
 void Channel::set_link_error_model(net::NodeId tx, net::NodeId rx,
@@ -198,18 +196,22 @@ void Channel::transmit(NodePhy& sender, Frame frame)
     const double noise_w = sinr ? params_.noise_floor_w : 0.0;
     const bool dynamic_power = propagation_ != nullptr && !propagation_->time_invariant();
 
-    const auto deliver = [&](NodePhy* phy, bool in_delivery_range, bool sensed, double power_w) {
+    ensure_reach();
+    const auto it = index_by_id_.find(sender.id());
+    if (it == index_by_id_.end()) throw std::logic_error("Channel::transmit: sender not attached");
+    for (const ReachEntry& r : reach_[it->second]) {
+        NodePhy* phy = r.phy;
         RxEvent rx;
         rx.signal_id = signal_id;
         rx.frame = &shared;
-        rx.power_w = power_w;
+        rx.power_w = dynamic_power ? link_power(sender.id(), phy->id(), r.distance_m) : r.power_w;
         rx.noise_w = noise_w;
         rx.capture_threshold = threshold;
-        rx.in_delivery = in_delivery_range;
-        rx.sensed = sensed;
+        rx.in_delivery = r.in_delivery;
+        rx.sensed = r.sensed;
         rx.error = false;
         rx.mpdu_error_bits = 0;
-        if (in_delivery_range) {
+        if (r.in_delivery) {
             const std::size_t n_sub = shared.subframes.size();
             if (n_sub > 0) {
                 // Aggregated frame: the per-link error model corrupts each
@@ -252,29 +254,6 @@ void Channel::transmit(NodePhy& sender, Frame frame)
             schedule_end_event(end_at, ref);
         }
         record.receivers_.push_back(phy);
-    };
-
-    if (cull_enabled_) {
-        ensure_reach();
-        const auto it = index_by_id_.find(sender.id());
-        if (it == index_by_id_.end())
-            throw std::logic_error("Channel::transmit: sender not attached");
-        for (const ReachEntry& r : reach_[it->second]) {
-            const double power_w =
-                dynamic_power ? link_power(sender.id(), r.phy->id(), r.distance_m) : r.power_w;
-            deliver(r.phy, r.in_delivery, r.sensed, power_w);
-        }
-    } else {
-        // Reference full-broadcast scan. Identical per-receiver facts and
-        // loss-roll order (attach order, delivery-range receivers only),
-        // so either path produces the same simulation.
-        for (NodePhy* phy : phys_) {
-            if (phy == &sender) continue;
-            const double d = distance(sender.position(), phy->position());
-            if (d > params_.conflict_radius_m()) continue;
-            deliver(phy, d <= params_.tx_range_m, d <= params_.cs_range_m,
-                    link_power(sender.id(), phy->id(), d));
-        }
     }
     if (record.receivers_.empty()) schedule_end_event(end_at, ref);  // tx_end alone
 }

@@ -45,13 +45,13 @@ namespace ezflow::phy {
 /// receivers can sense or be interfered by it, with their precomputed
 /// powers — is static (time-variant propagation stores the distance and
 /// re-derives power at transmit time). Transmissions iterate only that
-/// culled neighbour list instead of every attached PHY, in attach order,
-/// and the per-link loss rolls are drawn for exactly the same receivers as
-/// the full broadcast would (out-of-range nodes never drew), so the Rng
-/// stream and all outcomes are identical while per-transmission cost
-/// drops from O(nodes) to O(reachable neighbours). The sets themselves
-/// are built through a CellIndex (geometry.h), O(nodes x neighbours)
-/// rather than O(nodes^2).
+/// culled neighbour list, in attach order, instead of every attached PHY,
+/// so per-transmission cost is O(reachable neighbours), not O(nodes).
+/// Out-of-range nodes could not sense, decode or be interfered with and
+/// never drew a loss roll, so the list holds everything a scan over every
+/// attached PHY would act on; the tests check each list against that
+/// scan (tests/neighbour_oracle.h). The sets themselves are built through
+/// a CellIndex (geometry.h), O(nodes x neighbours) rather than O(nodes^2).
 class Channel {
 public:
     Channel(sim::Scheduler& scheduler, util::Rng rng, PhyParams params);
@@ -134,15 +134,27 @@ public:
         if (rate_manager_) rate_manager_->report(tx, rx, success);
     }
 
-    /// Disable (or re-enable) the reachability cull, falling back to the
-    /// full-broadcast scan over every attached PHY. The outcomes are
-    /// identical either way — this exists so tests can prove exactly that.
-    void set_reachability_cull(bool enabled) { cull_enabled_ = enabled; }
-    bool reachability_cull() const { return cull_enabled_; }
+    /// One receiver a transmitter can affect, with the geometry-derived
+    /// facts transmit() needs, precomputed once per topology.
+    struct ReachEntry {
+        NodePhy* phy;
+        bool in_delivery;   ///< within tx_range: decode + per-link loss roll
+        bool sensed;        ///< within cs_range: counts for energy detection
+        double power_w;     ///< received power (capture decisions); 0 for
+                            ///< time-variant propagation — see distance_m
+        double distance_m;  ///< link distance, for time-variant re-evaluation
+    };
 
-    /// Size of `tx`'s reachability set (receivers within carrier-sense or
-    /// interference range). Exposed for tests and benchmarks.
-    std::size_t reachable_count(net::NodeId tx);
+    /// `tx`'s reachability set (receivers within carrier-sense or
+    /// interference range) in attach order, rebuilt first when stale:
+    /// exactly the receivers, facts and order transmit() fans out over.
+    /// Exposed for tests. Throws if `tx` is not attached.
+    const std::vector<ReachEntry>& reach_list(net::NodeId tx);
+    /// Size of reach_list(tx). Exposed for tests and benchmarks.
+    std::size_t reachable_count(net::NodeId tx) { return reach_list(tx).size(); }
+
+    /// The attached PHYs, in attach order.
+    const std::vector<NodePhy*>& attached() const { return phys_; }
 
     const PhyParams& params() const { return params_; }
 
@@ -165,17 +177,6 @@ private:
     /// dB capture threshold and the frame rate's decode floor.
     double frame_capture_threshold(const Frame& frame) const;
 
-    /// One receiver a transmitter can affect, with the geometry-derived
-    /// facts transmit() needs, precomputed once per topology.
-    struct ReachEntry {
-        NodePhy* phy;
-        bool in_delivery;   ///< within tx_range: decode + per-link loss roll
-        bool sensed;        ///< within cs_range: counts for energy detection
-        double power_w;     ///< received power (capture decisions); stale for
-                            ///< time-variant propagation — see distance_m
-        double distance_m;  ///< link distance, for time-variant re-evaluation
-    };
-
     /// Rebuild the per-transmitter reachability sets when stale.
     void ensure_reach();
 
@@ -192,7 +193,6 @@ private:
     std::vector<NodePhy*> phys_;
     std::unordered_map<net::NodeId, std::size_t> index_by_id_;  ///< attach index per node id
     std::vector<std::vector<ReachEntry>> reach_;  ///< per transmitter, in attach order
-    bool cull_enabled_ = true;
     LinkTable<std::unique_ptr<ErrorModel>> error_models_;
     std::unique_ptr<PropagationModel> propagation_;  ///< null = reference two-ray
     std::unique_ptr<RateManager> rate_manager_;      ///< null = fixed default

@@ -139,14 +139,6 @@ struct PhyParams {
     /// (reference two-ray emits 1/d^4 for unit tx power). 0 keeps SINR a
     /// pure signal-to-interference ratio.
     double noise_floor_w = 0.0;
-    /// Interference weighting for the cumulative-SINR ledger: when set, an
-    /// interferer overlapping x% of a locked frame contributes x-weighted
-    /// energy to the capture test (settled once, at frame end) instead of
-    /// full power at every overlap instant. Off by default — the sticky
-    /// instantaneous test is the golden-pinned behaviour — and installed
-    /// via PhyModelConfig::weighted_overlap. A 100%-overlap interferer
-    /// yields the same verdict either way.
-    bool weighted_overlap_interference = false;
     std::int64_t bitrate_bps = 1'000'000;
     SimTime plcp_overhead_us = 192;  ///< long PLCP preamble + header at 1 Mb/s
     int mac_data_overhead_bytes = 36;  ///< 24 B MAC header + 4 B FCS + 8 B LLC/SNAP

@@ -11,7 +11,6 @@ namespace ezflow::phy {
 NodePhy::NodePhy(net::NodeId id, Position position, sim::Scheduler& scheduler)
     : id_(id), position_(position), scheduler_(scheduler)
 {
-    (void)scheduler_;  // kept for symmetry/future use (e.g. switching delays)
 }
 
 const PhyParams& NodePhy::channel_params() const
@@ -26,11 +25,6 @@ double NodePhy::interference_sum(std::uint64_t except_id) const
     for (const ActiveSignal& s : active_)
         if (s.id != except_id) sum += s.power_w;
     return sum;
-}
-
-bool NodePhy::rx_weighted() const
-{
-    return channel_ != nullptr && channel_->params().weighted_overlap_interference;
 }
 
 void NodePhy::mark_mpdus_corrupt(SimTime bad_from, SimTime bad_to)
@@ -84,7 +78,7 @@ void NodePhy::power_on()
 void NodePhy::signal_start(const RxEvent& rx)
 {
     if (!powered_) return;  // dead radios hear nothing (and are detached anyway)
-    active_.push_back(ActiveSignal{rx.signal_id, rx.power_w, rx.sensed, scheduler_.now()});
+    active_.push_back(ActiveSignal{rx.signal_id, rx.power_w, rx.sensed});
     ledger_w_ += rx.power_w;
     if (rx.sensed) ++sensed_active_;
     const bool decodable = rx.decodable();
@@ -103,8 +97,6 @@ void NodePhy::signal_start(const RxEvent& rx)
             // can open (never close) a below-threshold interval; recovery
             // is observed at interferer signal ends.
             if (rx_bad_since_ < 0 && rx_below_threshold()) rx_bad_since_ = scheduler_.now();
-        } else if (rx_weighted()) {
-            // Verdict deferred to frame end (overlap-weighted integral).
         } else if (rx_below_threshold()) {
             rx_corrupted_ = true;
         }
@@ -118,17 +110,12 @@ void NodePhy::signal_start(const RxEvent& rx)
         rx_aggregated_ = rx.frame->aggregated();
         rx_started_at_ = scheduler_.now();
         rx_bad_since_ = -1;
-        rx_interference_integral_ = 0.0;
         rx_mpdu_errors_ = 0;
         if (rx_aggregated_) {
             rx_mpdu_errors_ = rx.mpdu_error_bits;
             channel_params().mpdu_end_offsets(*rx.frame, rx_mpdu_ends_);
             rx_corrupted_ = false;
             if (rx_below_threshold()) rx_bad_since_ = scheduler_.now();
-        } else if (rx_weighted()) {
-            // Pre-existing interferers contribute their eventual overlap
-            // at their signal ends; the verdict settles at frame end.
-            rx_corrupted_ = false;
         } else {
             // Pre-existing overlapping energy corrupts the new reception
             // unless the frame captures over it.
@@ -150,27 +137,19 @@ void NodePhy::signal_end(std::uint64_t signal_id, const Frame& frame)
         throw std::logic_error("NodePhy::signal_end: unknown signal");
     }
     const bool was_sensed = it->sensed;
-    const double ended_power = it->power_w;
-    const SimTime ended_start = it->start_us;
     ledger_w_ -= it->power_w;
     active_.erase(it);
     if (active_.empty()) ledger_w_ = 0.0;  // empty ledger is exactly quiet
     if (was_sensed) --sensed_active_;
 
     const bool completes_rx = rx_active_ && rx_signal_id_ == signal_id;
-    if (rx_active_ && !completes_rx) {
-        // An interferer left while a frame is locked.
-        if (rx_aggregated_) {
-            // Interference just dropped: a below-threshold interval may
-            // close here — map it onto the subframes it overlapped.
-            if (rx_bad_since_ >= 0 && !rx_below_threshold()) {
-                mark_mpdus_corrupt(rx_bad_since_, scheduler_.now());
-                rx_bad_since_ = -1;
-            }
-        } else if (rx_weighted()) {
-            rx_interference_integral_ +=
-                ended_power *
-                static_cast<double>(scheduler_.now() - std::max(ended_start, rx_started_at_));
+    if (rx_active_ && !completes_rx && rx_aggregated_) {
+        // An interferer left while an aggregated frame is locked:
+        // interference just dropped, so a below-threshold interval may
+        // close here — map it onto the subframes it overlapped.
+        if (rx_bad_since_ >= 0 && !rx_below_threshold()) {
+            mark_mpdus_corrupt(rx_bad_since_, scheduler_.now());
+            rx_bad_since_ = -1;
         }
     }
     bool deliver = false;
@@ -191,27 +170,11 @@ void NodePhy::signal_end(std::uint64_t signal_id, const Frame& frame)
                 last_decode_mpdu_errors_ = rx_mpdu_errors_ & all;
                 deliver = true;
             }
+        } else if (rx_corrupted_) {
+            ++frames_corrupted_;
         } else {
-            if (rx_weighted()) {
-                // Close the integral over the interferers still on the air
-                // (the frame's own entry is already erased) and settle the
-                // overlap-weighted capture verdict once, for the whole
-                // frame.
-                for (const ActiveSignal& s : active_)
-                    rx_interference_integral_ +=
-                        s.power_w *
-                        static_cast<double>(scheduler_.now() -
-                                            std::max(s.start_us, rx_started_at_));
-                const double span = static_cast<double>(scheduler_.now() - rx_started_at_);
-                const double mean_w = span > 0 ? rx_interference_integral_ / span : 0.0;
-                rx_corrupted_ = rx_power_w_ < rx_threshold_ * (mean_w + rx_noise_w_);
-            }
-            if (rx_corrupted_) {
-                ++frames_corrupted_;
-            } else {
-                ++frames_decoded_;
-                deliver = true;
-            }
+            ++frames_decoded_;
+            deliver = true;
         }
     }
     // EIFS bookkeeping: a sensed busy period that did not end in a clean

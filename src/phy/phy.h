@@ -143,7 +143,6 @@ private:
         std::uint64_t id;
         double power_w;
         bool sensed;
-        SimTime start_us;  ///< arrival time (overlap weighting, interval tracking)
     };
 
     void update_busy();
@@ -158,9 +157,6 @@ private:
     /// Mark every subframe of the locked aggregated frame overlapping the
     /// below-threshold interval [bad_from, bad_to) as corrupt.
     void mark_mpdus_corrupt(SimTime bad_from, SimTime bad_to);
-    /// Whether the locked legacy frame defers its capture verdict to frame
-    /// end, integrating overlap-weighted interferer energy.
-    bool rx_weighted() const;
 
     net::NodeId id_;
     Position position_;
@@ -198,9 +194,6 @@ private:
     std::uint64_t rx_mpdu_errors_ = 0;       ///< error-model + interference bits
     std::vector<SimTime> rx_mpdu_ends_;      ///< subframe end offsets from lock
     std::uint64_t last_decode_mpdu_errors_ = 0;
-    /// Overlap-weighted interferer energy-time integral (power x us) under
-    /// the locked frame; only accrued in weighted-overlap mode.
-    double rx_interference_integral_ = 0.0;
 
     std::uint64_t frames_decoded_ = 0;
     std::uint64_t frames_corrupted_ = 0;

@@ -67,7 +67,7 @@ public:
     }
 
     /// True when the held callable lives in the inline buffer (no heap
-    /// allocation happened). Exposed for the arena's micro-benchmarks.
+    /// allocation happened). Exposed for tests.
     bool is_inline() const { return vtable_ != nullptr && vtable_->inline_storage; }
 
 private:

@@ -98,7 +98,7 @@ public:
     /// since `seq`): they all still sit in the staging buffer.
     bool scheduled_since(std::uint64_t seq, SimTime at) const;
 
-    // --- introspection (tests and micro-benchmarks) ---
+    // --- introspection (tests and perfbench) ---
     /// Total slots ever allocated in the arena (live + recyclable).
     std::size_t arena_slots() const { return slots_.size(); }
     /// Time-index records (staged + heaped), live + stale-awaiting-drop.

@@ -11,7 +11,6 @@ Source::Source(net::Network& network, int flow_id, int payload_bytes)
     : network_(network), flow_id_(flow_id), payload_bytes_(payload_bytes)
 {
     if (payload_bytes <= 0) throw std::invalid_argument("Source: payload must be > 0");
-    gating_enabled_ = network.reference_mode().backpressure_gating;
     const auto& path = network.routing().path(flow_id);
     src_node_ = path.front();
     dst_node_ = path.back();

@@ -70,8 +70,7 @@ public:
 
     /// Disable (or re-enable) the backpressure gate, falling back to one
     /// emit event per nominal packet period. The outcomes are identical
-    /// either way — this exists so tests and benches can prove exactly
-    /// that.
+    /// either way — this exists so tests can prove exactly that.
     void set_backpressure_gating(bool enabled);
     bool backpressure_gating() const { return gating_enabled_; }
     /// Whether the source is currently parked on a vacancy callback.

@@ -1,63 +1,54 @@
-// Reachability culling equivalence: Channel::transmit with precomputed
-// per-transmitter neighbour lists must produce exactly the simulation the
-// full-broadcast scan produces — same Rng stream, same decodes, same
-// corruption, same carrier sense — on chain, parking-lot and grid
-// topologies. Plus unit coverage of the reachability sets themselves and
-// the id-indexed attach.
+// Reachability culling: Channel::transmit fans each frame out over a
+// precomputed per-transmitter reach list, so the lists must hold exactly
+// the receivers, facts and order a scan over every attached PHY would act
+// on. Checked against that O(N^2) scan (tests/neighbour_oracle.h) on
+// chain, parking-lot, grid and random-mesh topologies. Plus unit coverage
+// of the reachability sets themselves and the id-indexed attach.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <memory>
 #include <vector>
 
 #include "analysis/experiment.h"
 #include "analysis/experiment_factory.h"
-#include "experiment_fingerprint.h"
 #include "neighbour_oracle.h"
 #include "net/network.h"
 #include "net/topo_gen.h"
-#include "net/topologies.h"
 #include "phy/channel.h"
 #include "phy/phy.h"
 #include "sim/scheduler.h"
 #include "util/rng.h"
-#include "util/units.h"
 
 namespace ezflow::phy {
 namespace {
 
-// ------------------------------------------------ full-run equivalence
+// ------------------------------------------------ reach lists vs oracle
 
-using testutil::experiment_fingerprint;
-
-std::vector<std::uint64_t> run_scenario(const analysis::ScenarioSpec& spec, bool cull)
+/// Build `spec`'s experiment and check its channel's reach lists against
+/// the attach-order scan.
+void expect_reach_lists_match(const analysis::ScenarioSpec& spec, std::uint64_t seed = 11)
 {
     analysis::ExperimentFactory factory(spec, analysis::ExperimentOptions{});
-    std::unique_ptr<analysis::Experiment> experiment = factory.make(/*seed=*/11);
-    net::ReferenceModeFlags flags;
-    flags.reachability_cull = cull;
-    experiment->network().set_reference_mode(flags);
-    experiment->run();
-    return experiment_fingerprint(*experiment);
+    std::unique_ptr<analysis::Experiment> experiment = factory.make(seed);
+    EXPECT_EQ(testutil::reach_list_mismatch(experiment->network().channel()), "")
+        << "seed " << seed;
 }
 
-TEST(ChannelCull, ChainRunMatchesFullBroadcast)
+TEST(ChannelCull, ChainReachListsMatchOracle)
 {
     // 4-hop chain: hidden terminals and chained interference.
-    const analysis::ScenarioSpec spec = analysis::ScenarioSpec::line(4, /*duration_s=*/15.0);
-    EXPECT_EQ(run_scenario(spec, true), run_scenario(spec, false));
+    expect_reach_lists_match(analysis::ScenarioSpec::line(4, /*duration_s=*/15.0));
 }
 
-TEST(ChannelCull, ParkingLotRunMatchesFullBroadcast)
+TEST(ChannelCull, ParkingLotReachListsMatchOracle)
 {
     // Scenario 1 is the paper's parking-lot merge: two 8-hop branches
     // joining toward the gateway.
-    const analysis::ScenarioSpec spec = analysis::ScenarioSpec::scenario1(/*time_scale=*/0.01);
-    EXPECT_EQ(run_scenario(spec, true), run_scenario(spec, false));
+    expect_reach_lists_match(analysis::ScenarioSpec::scenario1(/*time_scale=*/0.01));
 }
 
-TEST(ChannelCull, GeneratedGridGatewayMatchesFullBroadcast)
+TEST(ChannelCull, GeneratedGridGatewayReachListsMatchOracle)
 {
     // Generated convergecast lattice (net/topo_gen.h): every flow funnels
     // into one corner, so the gateway neighbourhood is the dense case the
@@ -67,11 +58,10 @@ TEST(ChannelCull, GeneratedGridGatewayMatchesFullBroadcast)
     grid.rows = 4;
     grid.sources = 5;
     grid.duration_s = 4.0;
-    const analysis::ScenarioSpec spec = analysis::ScenarioSpec::grid_gateway(grid);
-    EXPECT_EQ(run_scenario(spec, true), run_scenario(spec, false));
+    expect_reach_lists_match(analysis::ScenarioSpec::grid_gateway(grid));
 }
 
-TEST(ChannelCull, GeneratedRandomMeshMatchesFullBroadcast)
+TEST(ChannelCull, GeneratedRandomMeshReachListsMatchOracle)
 {
     // Seeded random scatters: irregular reachability sets, including
     // asymmetric hidden-terminal geometry no hand-built scenario covers.
@@ -81,71 +71,20 @@ TEST(ChannelCull, GeneratedRandomMeshMatchesFullBroadcast)
     mesh.width_m = 1100.0;
     mesh.height_m = 1100.0;
     mesh.duration_s = 4.0;
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        analysis::ExperimentFactory factory(analysis::ScenarioSpec::random_mesh(mesh),
-                                            analysis::ExperimentOptions{});
-        const auto run_with_cull = [&factory, seed](bool cull) {
-            std::unique_ptr<analysis::Experiment> experiment = factory.make(seed);
-            net::ReferenceModeFlags flags;
-            flags.reachability_cull = cull;
-            experiment->network().set_reference_mode(flags);
-            experiment->run();
-            return experiment_fingerprint(*experiment);
-        };
-        EXPECT_EQ(run_with_cull(true), run_with_cull(false)) << "seed " << seed;
-    }
+    for (std::uint64_t seed = 1; seed <= 3; ++seed)
+        expect_reach_lists_match(analysis::ScenarioSpec::random_mesh(mesh), seed);
 }
 
-TEST(ChannelCull, GridRunMatchesFullBroadcast)
+TEST(ChannelCull, GridReachListsMatchOracle)
 {
-    // A 4x4 grid with two crossing flows, built directly.
-    const auto build = [](bool cull) {
-        net::Network::Config config;
-        net::Network network(config);
-        for (int y = 0; y < 4; ++y)
-            for (int x = 0; x < 4; ++x)
-                network.add_node(Position{x * 200.0, y * 200.0});
-        net::ReferenceModeFlags flags;
-        flags.reachability_cull = cull;
-        network.set_reference_mode(flags);
-        network.add_flow(1, {0, 1, 2, 3});       // west -> east along the top row
-        network.add_flow(2, {0, 4, 8, 12});      // north -> south along the left column
-        network.add_flow(3, {5, 6, 10});         // interior dog-leg
-        util::Rng traffic(42);
-        for (int i = 0; i < 400; ++i) {
-            const util::SimTime at = 1000 + i * 2000;
-            for (int flow = 1; flow <= 3; ++flow) {
-                net::Packet packet;
-                packet.uid = static_cast<std::uint64_t>(flow) * 100000 + i;
-                packet.seq = static_cast<std::uint64_t>(i);
-                packet.flow_id = flow;
-                packet.bytes = 500;
-                packet.src = flow == 2 ? 0 : (flow == 3 ? 5 : 0);
-                packet.dst = flow == 1 ? 3 : (flow == 2 ? 12 : 10);
-                net::NodeId src = packet.src;
-                network.scheduler().schedule_at(at, [&network, src, packet] {
-                    network.node(src).send(packet);
-                });
-            }
-        }
-        network.run_until(3 * util::kSecond);
-        std::vector<std::uint64_t> print;
-        print.push_back(network.channel().transmissions());
-        print.push_back(network.scheduler().processed());
-        for (int id = 0; id < network.node_count(); ++id) {
-            const net::Node& node = network.node(id);
-            print.push_back(node.phy().frames_decoded());
-            print.push_back(node.phy().frames_corrupted());
-            print.push_back(node.mac().successes());
-            print.push_back(node.delivered());
-            print.push_back(node.forwarded());
-        }
-        return print;
-    };
-    const auto culled = build(true);
-    const auto broadcast = build(false);
-    EXPECT_FALSE(culled.empty());
-    EXPECT_EQ(culled, broadcast);
+    // A 4x4 grid at 200 m spacing, built directly: every node reaches
+    // some neighbours only by carrier sense, not delivery.
+    net::Network::Config config;
+    net::Network network(config);
+    for (int y = 0; y < 4; ++y)
+        for (int x = 0; x < 4; ++x)
+            network.add_node(Position{x * 200.0, y * 200.0});
+    EXPECT_EQ(testutil::reach_list_mismatch(network.channel()), "");
 }
 
 // ------------------------------------------------ reachability-set units
@@ -189,6 +128,7 @@ TEST(ChannelCull, ReachableSetsMatchGeometry)
         EXPECT_EQ(bed.channel.reachable_count(static_cast<net::NodeId>(tx)), expected)
             << "tx " << tx;
     }
+    EXPECT_EQ(testutil::reach_list_mismatch(bed.channel), "");
 }
 
 TEST(ChannelCull, CellIndexedReachSetsMatchBruteForceOracle)

@@ -39,8 +39,6 @@ TEST_F(RegistryTest, EnumeratesEveryFormerBenchAndExampleTarget)
         // bench ablations
         "ablation_pacer", "ablation_penalty_q", "ablation_phy_capture", "ablation_rtscts",
         "ablation_sample_window", "ablation_sniff_loss", "ablation_thresholds",
-        // micro harnesses (listed, standalone)
-        "micro_core", "micro_scheduler",
         // examples
         "quickstart", "parking_lot", "backhaul_gateway", "voip_mesh", "adaptive_traffic",
         "model_explorer"};
@@ -69,12 +67,17 @@ TEST_F(RegistryTest, ListIsNameSortedAndCategorized)
     for (const FigureSpec* spec : specs) {
         EXPECT_FALSE(spec->title.empty()) << spec->name;
         EXPECT_TRUE(spec->category == "figure" || spec->category == "table" ||
-                    spec->category == "ablation" || spec->category == "example" ||
-                    spec->category == "micro")
+                    spec->category == "ablation" || spec->category == "example")
             << spec->name << " has category " << spec->category;
-        // Only the micro google-benchmark harnesses are non-runnable.
-        EXPECT_EQ(spec->runnable(), spec->category != "micro") << spec->name;
     }
+}
+
+TEST_F(RegistryTest, EveryRegisteredFigureIsRunnable)
+{
+    // `ezflow run --all` runs every entry, so none may be a listing
+    // without a runner.
+    for (const FigureSpec* spec : FigureRegistry::instance().list())
+        EXPECT_TRUE(spec->runnable()) << spec->name;
 }
 
 TEST_F(RegistryTest, DuplicateRegistrationThrows)
@@ -92,7 +95,6 @@ TEST_F(RegistryTest, DuplicateRegistrationThrows)
 TEST_F(RegistryTest, SmokeGridsAreFasterThanDefaults)
 {
     for (const FigureSpec* spec : FigureRegistry::instance().list()) {
-        if (!spec->runnable()) continue;
         EXPECT_LE(spec->smoke_scale, spec->default_scale) << spec->name;
         EXPECT_LE(spec->smoke_seeds, spec->default_seeds) << spec->name;
         EXPECT_GT(spec->smoke_scale, 0.0) << spec->name;

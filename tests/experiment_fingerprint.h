@@ -2,8 +2,8 @@
 
 // Shared per-node run fingerprint for equivalence tests: every counter
 // that can observably differ when two channel/MAC fast paths diverge.
-// channel_cull_test.cpp and grid_test.cpp both compare runs with this,
-// so the two suites enforce one notion of equivalence.
+// Every suite that compares runs uses this, so they all enforce one
+// notion of equivalence.
 
 #include <cstdint>
 #include <vector>

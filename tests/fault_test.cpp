@@ -21,6 +21,7 @@
 #include "analysis/experiment.h"
 #include "analysis/experiment_factory.h"
 #include "experiment_fingerprint.h"
+#include "neighbour_oracle.h"
 #include "net/fault_plan.h"
 #include "net/network.h"
 #include "net/topo_gen.h"
@@ -231,8 +232,7 @@ TEST(ChannelDetach, ReachCacheInvalidatedSymmetrically)
 /// `kill_us` and reviving 300 ms later. Returns the run's fingerprint.
 /// Asserts zero FramePool leakage and exact queue/MAC conservation
 /// afterwards — whatever MAC/PHY state the kill interrupted.
-std::vector<std::uint64_t> chain_kill_cycle(util::SimTime kill_us, bool sinr_ledger,
-                                            bool cull = true)
+std::vector<std::uint64_t> chain_kill_cycle(util::SimTime kill_us, bool sinr_ledger)
 {
     ScenarioSpec spec = ScenarioSpec::line(4, /*duration_s=*/1.2);
     if (sinr_ledger) spec.models.interference = phy::PhyModelConfig::Interference::kSinrLedger;
@@ -242,9 +242,6 @@ std::vector<std::uint64_t> chain_kill_cycle(util::SimTime kill_us, bool sinr_led
         {kill_us + 300'000, net::FaultKind::kNodeUp, /*node=*/2, -1, -1});
     ExperimentFactory factory(spec, ExperimentOptions{});
     std::unique_ptr<analysis::Experiment> experiment = factory.make(/*seed=*/11);
-    net::ReferenceModeFlags flags;
-    flags.reachability_cull = cull;
-    experiment->network().set_reference_mode(flags);
     experiment->run();
     // Run far past the stop so every in-flight signal end has fired.
     experiment->run_until_s(10.0);
@@ -314,14 +311,31 @@ TEST(FaultLifetime, FlashReviveWithinSifsKeepsControlPathSane)
     }
 }
 
-TEST(FaultLifetime, CullMatchesBroadcastAcrossDownUpCycle)
+TEST(FaultLifetime, ReachListsMatchOracleAcrossDownUpCycle)
 {
-    // Satellite of the reach-cache fix: the culled channel must produce
-    // the exact run the full-broadcast reference produces across a
-    // detach/reattach cycle (decode-for-decode, event-for-event).
+    // The reach cache must follow the kill's detach and the revival's
+    // attach mid-run: after each, every list must equal the scan over the
+    // PHYs then attached (the revived relay now last in attach order).
     const util::SimTime kill = util::from_seconds(5.35);
-    EXPECT_EQ(chain_kill_cycle(kill, false, /*cull=*/true),
-              chain_kill_cycle(kill, false, /*cull=*/false));
+    ScenarioSpec spec = ScenarioSpec::line(4, /*duration_s=*/1.2);
+    spec.faults.events.push_back({kill, net::FaultKind::kNodeDown, /*node=*/2, -1, -1});
+    spec.faults.events.push_back({kill + 300'000, net::FaultKind::kNodeUp, /*node=*/2, -1, -1});
+    ExperimentFactory factory(spec, ExperimentOptions{});
+    std::unique_ptr<analysis::Experiment> experiment = factory.make(/*seed=*/11);
+    net::Network& network = experiment->network();
+    phy::Channel& channel = network.channel();
+    const phy::NodePhy& relay = network.node(2).phy();
+
+    EXPECT_EQ(testutil::reach_list_mismatch(channel), "");
+    experiment->run_until_s(util::to_seconds(kill) + 0.001);
+    ASSERT_FALSE(channel.is_attached(relay));
+    EXPECT_EQ(testutil::reach_list_mismatch(channel), "") << "after the detach";
+    experiment->run_until_s(util::to_seconds(kill + 300'000) + 0.001);
+    ASSERT_TRUE(channel.is_attached(relay));
+    EXPECT_EQ(channel.attached().back(), &relay);
+    EXPECT_EQ(testutil::reach_list_mismatch(channel), "") << "after the attach";
+    experiment->run();
+    EXPECT_EQ(testutil::reach_list_mismatch(channel), "") << "at the end of the run";
 }
 
 // -------------------------------------------- source pause / repair flow

@@ -5,11 +5,13 @@
 // net::rebuild_links, net::plan_shards). Deliberately naive: every pair,
 // the same phy::distance predicate, no spatial structure.
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "phy/channel.h"
 #include "phy/geometry.h"
 #include "util/rng.h"
 
@@ -67,6 +69,53 @@ inline std::vector<int> canonical_partition(const std::vector<int>& class_of)
         }
     }
     return out;
+}
+
+/// Check every attached transmitter's reach list against a scan over
+/// every attached PHY in attach order: the same receivers in the same
+/// order, each with the same in_delivery and sensed facts, distance and
+/// reference two-ray power. Channel::transmit runs one loop body per
+/// reach entry, in list order, so equal lists give the simulation a
+/// transmit over every attached PHY (skipping those beyond the conflict
+/// radius) would give. Only for channels on the reference propagation
+/// path (no propagation model installed). Returns the first difference,
+/// or "" when every list matches.
+inline std::string reach_list_mismatch(phy::Channel& channel)
+{
+    const phy::PhyParams& params = channel.params();
+    const double radius = params.conflict_radius_m();
+    for (const phy::NodePhy* sender : channel.attached()) {
+        const std::vector<phy::Channel::ReachEntry>& list = channel.reach_list(sender->id());
+        const std::string tx = "tx " + std::to_string(sender->id());
+        std::size_t next = 0;
+        for (const phy::NodePhy* receiver : channel.attached()) {
+            if (receiver == sender) continue;
+            const double d = phy::distance(sender->position(), receiver->position());
+            if (d > radius) continue;
+            const double d_eff = std::max(d, 1.0);
+            const double power_w = 1.0 / (d_eff * d_eff * d_eff * d_eff);
+            const phy::Channel::ReachEntry* entry = next < list.size() ? &list[next] : nullptr;
+            const char* wrong = nullptr;
+            if (entry == nullptr)
+                wrong = "missing from the list";
+            else if (entry->phy != receiver)
+                wrong = "holds another receiver";
+            else if (entry->in_delivery != (d <= params.tx_range_m))
+                wrong = "in_delivery differs";
+            else if (entry->sensed != (d <= params.cs_range_m))
+                wrong = "sensed differs";
+            else if (entry->power_w != power_w)
+                wrong = "power_w differs";
+            else if (entry->distance_m != d)
+                wrong = "distance_m differs";
+            if (wrong != nullptr)
+                return tx + " entry " + std::to_string(next) + " (rx " +
+                       std::to_string(receiver->id()) + "): " + wrong;
+            ++next;
+        }
+        if (next != list.size()) return tx + ": entries beyond the scan's " + std::to_string(next);
+    }
+    return "";
 }
 
 /// A point set plus the query radius it is checked under.

@@ -394,11 +394,9 @@ TEST(Channel, FramePoolRecyclesAcrossTransmissions)
 
 TEST(Channel, FramePoolSharesOneRecordOnBroadcastPath)
 {
-    // Cull disabled (reference full-broadcast scan) with a lossy Gilbert
-    // link in the fan-out: still one record per transmission, released
-    // when its end event fires.
+    // A lossy Gilbert link in the fan-out: still one record per
+    // transmission, released when its end event fires.
     TestBed bed;
-    bed.channel.set_reachability_cull(false);
     bed.channel.set_link_error_model(0, 1, make_gilbert(GilbertParams{1.0, 1.0, 0.0, 1.0}));
     NodePhy& a = bed.add(0);
     bed.add(200);

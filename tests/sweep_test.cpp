@@ -151,16 +151,29 @@ TEST(SweepRunner, SeedsActuallyVaryTheRuns)
     EXPECT_GT(result.windows[0].flows[0].mean_kbps.mean(), 0.0);
 }
 
-TEST(SweepRunner, KeepExperimentsRetainsPerSeedRuns)
+TEST(SweepRunner, KeepFirstExperimentRetainsOneRunPerCell)
 {
     SweepConfig config = small_config();
-    config.keep_experiments = true;
-    const SweepResult result = SweepRunner(2).run(small_factory(Mode::kBaseline80211), config);
-    ASSERT_EQ(result.experiments.size(), 3u);
-    for (const auto& experiment : result.experiments) {
-        ASSERT_NE(experiment, nullptr);
-        EXPECT_FALSE(experiment->throughput(0).series().empty());
+    ASSERT_GE(config.seeds.size(), 2u);
+    config.keep_first_experiment = true;
+    const std::vector<SweepResult> results = SweepRunner(2).run_grid(
+        {small_factory(Mode::kBaseline80211), small_factory(Mode::kEzFlow)}, config);
+    ASSERT_EQ(results.size(), 2u);
+    for (const SweepResult& result : results) {
+        ASSERT_NE(result.first_experiment, nullptr) << result.label;
+        EXPECT_FALSE(result.first_experiment->throughput(0).series().empty());
+        // The kept run is the first seed's, and it re-summarizes to
+        // exactly that seed's windows.
+        Experiment& first = *result.first_experiment;
+        EXPECT_EQ(first.network().config().seed, config.seeds[0]) << result.label;
+        const SeedResult again = summarize_windows(first, config.seeds[0], config.windows);
+        EXPECT_EQ(again.windows[0].flows[0].mean_kbps,
+                  result.per_seed[0].windows[0].flows[0].mean_kbps)
+            << result.label;
     }
+    config.keep_first_experiment = false;
+    EXPECT_EQ(SweepRunner(2).run(small_factory(Mode::kBaseline80211), config).first_experiment,
+              nullptr);
 }
 
 TEST(SweepRunner, RejectsEmptyGrids)
