@@ -14,20 +14,19 @@ using analysis::ScenarioSpec;
 
 /// Everything a shared run depends on: shared_runs builds the spec
 /// (scenario1/scenario2 at the scale) and the options (context_cell)
-/// from exactly these fields, so equal keys are equal runs.
+/// from exactly these fields, so equal keys are equal runs. --shards is
+/// not among them: the hand-built paper scenarios ignore spec.shards.
 struct RunKey {
     ScenarioSpec::Kind kind;
     double scale;
     std::uint64_t seed;
     Mode mode;
     bool streaming;
-    int shards;
 
     bool operator<(const RunKey& other) const
     {
-        return std::tie(kind, scale, seed, mode, streaming, shards) <
-               std::tie(other.kind, other.scale, other.seed, other.mode, other.streaming,
-                        other.shards);
+        return std::tie(kind, scale, seed, mode, streaming) <
+               std::tie(other.kind, other.scale, other.seed, other.mode, other.streaming);
     }
 };
 
@@ -63,7 +62,7 @@ std::vector<SharedCell> shared_runs(const FigureContext& ctx, ScenarioSpec::Kind
     const std::vector<std::uint64_t> seeds = ctx.seed_grid();
     const auto key = [&](std::size_t slot) {
         return RunKey{kind, ctx.scale, seeds[slot % seeds.size()], modes[slot / seeds.size()],
-                      ctx.streaming, ctx.shards};
+                      ctx.streaming};
     };
     std::vector<std::shared_ptr<const RunRecord>> runs(modes.size() * seeds.size());
     std::vector<std::size_t> misses;

@@ -59,8 +59,9 @@ inline void add_cells(analysis::FigureResult& result, const std::vector<std::str
 }
 
 /// The sweep cell of `spec` under `mode` with the context's --shards and
-/// --streaming applied. shared_runs keys its kept runs by these knobs,
-/// so any further context knob read here must join that key too.
+/// --streaming applied. shared_runs keys its kept runs by --streaming
+/// (the paper scenarios it serves ignore --shards), so any further
+/// context knob read here must join that key too.
 inline analysis::ExperimentFactory context_cell(const FigureContext& ctx,
                                                 analysis::ScenarioSpec spec, analysis::Mode mode)
 {

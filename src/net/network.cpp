@@ -52,7 +52,7 @@ NodeId Network::add_node(phy::Position position)
     }
     Shard& home = *shards_[static_cast<std::size_t>(target)];
     nodes_.push_back(std::make_unique<Node>(id, position, home.scheduler, home.contention,
-                                            rng_.fork(), config_.mac, routing_table_));
+                                            rng_.fork(), config_.mac, routing_));
     shard_of_.push_back(target);
     home.channel.attach(nodes_.back()->phy());
     return id;
@@ -71,8 +71,7 @@ void Network::add_flow(int flow_id, std::vector<NodeId> path)
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
         if (shard_of(path[i]) != shard_of(path[i + 1]))
             throw std::invalid_argument(
-                "Network::add_flow: path crosses a shard boundary (radio hops are intra-shard; "
-                "use ShardedEngine::post for wired handoffs)");
+                "Network::add_flow: path crosses a shard boundary (radio hops are intra-shard)");
     }
     routing_.add_flow(flow_id, std::move(path));
 }
@@ -152,14 +151,10 @@ sim::ShardedEngine* Network::sharded_engine()
 
 void Network::run_until(util::SimTime t)
 {
-    if (shard_count() == 1) {
+    if (shard_count() == 1)
         shards_[0]->scheduler.run_until(t);
-    } else {
-        // Workers share the one compiled table; compile it here, outside
-        // the epoch, so its lazy refresh never runs on a shard thread.
-        routing_table_.sync();
+    else
         sharded_engine()->run_until(t);
-    }
     tally_perf();
 }
 

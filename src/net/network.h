@@ -45,8 +45,8 @@ PerfTotals perf_totals();
 ///
 /// With a ShardPlan in the config the Network is space-parallel: every
 /// shard owns its own Scheduler/Channel/ContentionCoordinator, nodes
-/// bind to their shard's trio, and run_until() drives the shards in
-/// lockstep epochs on sim::ShardedEngine. The plan guarantees no radio
+/// bind to their shard's trio, and run_until() runs every shard to the
+/// target time on sim::ShardedEngine. The plan guarantees no radio
 /// edge crosses shards (see plan_shards), so sharded execution is
 /// byte-identical to the serial reference. Without a plan (the default)
 /// there is exactly one shard and execution is the serial reference
@@ -80,8 +80,7 @@ public:
     /// Register a static flow path. All nodes must already exist,
     /// consecutive path nodes must be within delivery range, and the
     /// whole path must stay inside one shard (radio hops cannot cross
-    /// the partition; cross-shard wired handoffs go through
-    /// sim::ShardedEngine::post instead).
+    /// the partition, and shards exchange nothing mid-run).
     void add_flow(int flow_id, std::vector<NodeId> path);
 
     Node& node(NodeId id);
@@ -107,12 +106,9 @@ public:
     std::uint64_t total_data_transmissions() const;
     std::uint64_t shard_processed(int s) const { return shard(s).scheduler.processed(); }
 
+    /// The forwarding table every node's per-packet forwarding reads.
     StaticRouting& routing() { return routing_; }
     const StaticRouting& routing() const { return routing_; }
-    /// The compiled O(1) forwarding table over routing(); what every
-    /// node's per-packet forwarding consults (it tracks the builder
-    /// automatically, so flows may still be added after nodes).
-    const RoutingTable& routing_table() const { return routing_table_; }
     const Config& config() const { return config_; }
 
     /// Fork an independent RNG stream from the network's root seed
@@ -136,7 +132,7 @@ public:
     /// sharded execution is deterministic for any thread count.
     void set_shard_threads(int threads) { shard_threads_ = threads; }
 
-    /// The epoch driver; built on demand when shard_count() > 1 (null
+    /// The shard driver; built on demand when shard_count() > 1 (null
     /// for a single shard — run_until drives the scheduler directly).
     sim::ShardedEngine* sharded_engine();
 
@@ -154,8 +150,7 @@ public:
     bool node_is_up(NodeId id) const { return node(id).is_up(); }
 
     /// Advance simulated time, then add the events it took to
-    /// perf_totals(). A sharded run first brings the compiled routing
-    /// table up to date, so shard workers only ever read it.
+    /// perf_totals().
     void run_until(util::SimTime t);
     util::SimTime now() const { return shards_[0]->scheduler.now(); }
 
@@ -180,7 +175,6 @@ private:
     std::vector<std::unique_ptr<Shard>> shards_;
     std::vector<int> shard_of_;  ///< dense by node id
     StaticRouting routing_;
-    RoutingTable routing_table_{routing_};
     std::vector<std::unique_ptr<Node>> nodes_;
     int shard_threads_ = 0;
     std::unique_ptr<sim::ShardedEngine> engine_;

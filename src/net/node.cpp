@@ -7,7 +7,7 @@ namespace ezflow::net {
 
 Node::Node(NodeId id, phy::Position position, sim::Scheduler& scheduler,
            mac::ContentionCoordinator& coordinator, util::Rng rng, const mac::MacParams& mac_params,
-           const RoutingTable& routing)
+           const StaticRouting& routing)
     : id_(id),
       phy_(id, position, scheduler),
       mac_(phy_, scheduler, coordinator, std::move(rng), mac_params),
@@ -30,7 +30,7 @@ bool Node::send(Packet packet)
         return false;
     }
     const NodeId next = routing_.next_hop_or_none(packet.flow_id, id_);
-    if (next == RoutingTable::kNoNextHop) {
+    if (next == StaticRouting::kNoNextHop) {
         // Suspended (partitioned) flow, or repair in flight. Sources
         // check routability before generating, so this is the rare race
         // window between a repair and an already-scheduled emission.
@@ -47,7 +47,7 @@ bool Node::send(Packet packet)
 mac::MacQueue* Node::own_traffic_queue(int flow_id)
 {
     const NodeId next = routing_.next_hop_or_none(flow_id, id_);
-    if (next == RoutingTable::kNoNextHop) return nullptr;
+    if (next == StaticRouting::kNoNextHop) return nullptr;
     return mac_.queues().find(mac::QueueKey{next, /*own_traffic=*/true});
 }
 
@@ -84,7 +84,7 @@ void Node::handle_packet(const Packet& packet)
         return;
     }
     const NodeId next = routing_.next_hop_or_none(packet.flow_id, id_);
-    if (next == RoutingTable::kNoNextHop) {
+    if (next == StaticRouting::kNoNextHop) {
         // The flow was suspended or re-routed around this node while the
         // packet was in flight: it dies here, accounted.
         ++drops_unroutable_;

@@ -31,7 +31,7 @@ public:
 
     Node(NodeId id, phy::Position position, sim::Scheduler& scheduler,
          mac::ContentionCoordinator& coordinator, util::Rng rng, const mac::MacParams& mac_params,
-         const RoutingTable& routing);
+         const StaticRouting& routing);
 
     NodeId id() const { return id_; }
     phy::NodePhy& phy() { return phy_; }
@@ -126,7 +126,7 @@ private:
     NodeId id_;
     phy::NodePhy phy_;
     mac::DcfMac mac_;
-    const RoutingTable& routing_;
+    const StaticRouting& routing_;
 
     std::vector<DeliveryHandler> delivery_;
     std::vector<SniffHandler> sniffers_;

@@ -33,11 +33,6 @@ void Channel::detach(NodePhy& phy)
     for (auto& [id, index] : index_by_id_)
         if (index > gone) --index;
     phy.set_channel(nullptr);
-    // Symmetric invalidation with attach: ensure_reach only compares
-    // sizes, so a detach followed by an attach of another node would
-    // otherwise leave the cache at the same size but pointing at the
-    // dead PHY.
-    reach_.clear();
 }
 
 bool Channel::is_attached(const NodePhy& phy) const

@@ -13,7 +13,7 @@ FaultInjector::FaultInjector(net::Network& network, net::FaultPlan plan)
     if (network.shard_count() > 1)
         throw std::invalid_argument(
             "FaultInjector: requires a single-shard network (route repair mutates the shared "
-            "routing builder, which must not race shard threads)");
+            "routing table, which must not race shard threads)");
 }
 
 void FaultInjector::arm()

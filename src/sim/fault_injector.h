@@ -36,7 +36,7 @@ namespace ezflow::sim {
 /// Determinism: all bookkeeping is event-driven on the shard scheduler;
 /// same plan + same seed -> byte-identical runs at any --threads. The
 /// injector requires a single-shard network (every canned connected
-/// topology): repair mutates the shared routing builder, which must not
+/// topology): repair mutates the shared routing table, which must not
 /// race shard threads.
 class FaultInjector {
 public:

@@ -22,6 +22,7 @@
 #include "analysis/experiment_factory.h"
 #include "experiment_fingerprint.h"
 #include "neighbour_oracle.h"
+#include "routing_oracle.h"
 #include "net/fault_plan.h"
 #include "net/network.h"
 #include "net/topo_gen.h"
@@ -109,90 +110,83 @@ TEST(FaultPlan, RandomChurnIsSeededAndWellFormed)
     EXPECT_TRUE(down_since.empty()) << "unpaired node_down";
 }
 
-// ------------------------------------- routing: incremental repair units
+// ------------------------------------------------ routing: repair units
 
 TEST(RoutingRepair, UpdateSuspendResumeMatchFreshBuilder)
 {
-    // Property check: after any batch of update/suspend/resume, the
-    // incrementally repaired RoutingTable answers every probe exactly
-    // like a freshly built reference (builder + full compile).
+    // Property check: after each of 300 random update/suspend/resume
+    // steps, the mutated table agrees with a test-side model of paths and
+    // suspensions, with a path scan over its own state, and with a table
+    // freshly built from the model.
     util::Rng rng(7);
     net::StaticRouting routing;
-    net::RoutingTable table(routing);
     const std::vector<std::vector<net::NodeId>> pool = {
         {0, 1, 2, 3}, {3, 2, 1, 0}, {0, 4, 8}, {8, 4, 0}, {1, 5, 9, 13}, {2, 6, 10}};
-    for (int f = 1; f <= 6; ++f) routing.add_flow(f, pool[static_cast<std::size_t>(f - 1)]);
-    (void)table.next_hop(1, 0);  // force the initial compile
+    std::map<int, std::vector<net::NodeId>> model_paths;
+    std::set<int> model_suspended;
+    for (int f = 1; f <= 6; ++f) {
+        model_paths[f] = pool[static_cast<std::size_t>(f - 1)];
+        routing.add_flow(f, model_paths[f]);
+    }
+    const std::vector<int> flows = {1, 2, 3, 4, 5, 6};
 
-    std::uint64_t expected_version = routing.version();
     for (int step = 0; step < 300; ++step) {
         const int flow = rng.uniform_int(1, 6);
         switch (rng.uniform_int(0, 2)) {
             case 0:
-                routing.update_flow(flow, pool[static_cast<std::size_t>(rng.uniform_int(0, 5))]);
-                ++expected_version;
+                model_paths[flow] = pool[static_cast<std::size_t>(rng.uniform_int(0, 5))];
+                model_suspended.erase(flow);
+                routing.update_flow(flow, model_paths[flow]);
                 break;
             case 1:
-                if (!routing.is_suspended(flow)) ++expected_version;  // idempotent otherwise
+                model_suspended.insert(flow);
                 routing.suspend_flow(flow);
                 break;
             default:
-                if (routing.is_suspended(flow)) ++expected_version;
+                model_suspended.erase(flow);
                 routing.resume_flow(flow);
                 break;
         }
-        // Fresh reference over the same builder state.
-        net::StaticRouting reference;
-        for (int f = 1; f <= 6; ++f) {
-            reference.add_flow(f, routing.path(f));
-            if (routing.is_suspended(f)) reference.suspend_flow(f);
+        net::StaticRouting fresh;
+        for (const auto& [f, path] : model_paths) {
+            EXPECT_EQ(routing.path(f), path) << "step " << step << " flow " << f;
+            EXPECT_EQ(routing.is_suspended(f), model_suspended.count(f) > 0)
+                << "step " << step << " flow " << f;
+            fresh.add_flow(f, path);
+            if (model_suspended.count(f) > 0) fresh.suspend_flow(f);
         }
-        net::RoutingTable fresh(reference);
-        for (int f = 1; f <= 6; ++f) {
-            for (net::NodeId node = 0; node <= 13; ++node) {
-                EXPECT_EQ(table.has_next_hop(f, node), fresh.has_next_hop(f, node))
+        EXPECT_EQ(testutil::routing_mismatch(routing, flows, -1, 14), "") << "step " << step;
+        for (const int f : flows)
+            for (net::NodeId node = 0; node <= 13; ++node)
+                EXPECT_EQ(routing.next_hop_or_none(f, node), fresh.next_hop_or_none(f, node))
                     << "step " << step << " flow " << f << " node " << node;
-                EXPECT_EQ(table.next_hop_or_none(f, node), fresh.next_hop_or_none(f, node))
-                    << "step " << step << " flow " << f << " node " << node;
-            }
-        }
     }
-    // 300 single-flow changes against an initial compile: the change log
-    // must have carried them (no structure growth), and every effective
-    // mutation — and only those — bumped the version.
-    EXPECT_EQ(routing.structure_version(), 6u);
-    EXPECT_EQ(routing.version(), expected_version);
 }
 
 TEST(RoutingRepair, SuspendedFlowHasNoNextHops)
 {
     net::StaticRouting routing;
     routing.add_flow(1, {0, 1, 2});
-    net::RoutingTable table(routing);
-    EXPECT_EQ(table.next_hop(1, 0), 1);
+    EXPECT_EQ(routing.next_hop_or_none(1, 0), 1);
     routing.suspend_flow(1);
-    EXPECT_FALSE(table.has_next_hop(1, 0));
-    EXPECT_EQ(table.next_hop_or_none(1, 0), net::RoutingTable::kNoNextHop);
-    EXPECT_THROW(routing.next_hop(1, 0), std::invalid_argument);
+    routing.suspend_flow(1);  // idempotent
+    EXPECT_TRUE(routing.is_suspended(1));
+    for (net::NodeId node = 0; node <= 2; ++node)
+        EXPECT_EQ(routing.next_hop_or_none(1, node), net::StaticRouting::kNoNextHop) << node;
+    EXPECT_EQ(testutil::routing_mismatch(routing, {1}, 0, 3), "");
     routing.resume_flow(1);
-    EXPECT_EQ(table.next_hop(1, 0), 1);
+    routing.resume_flow(1);  // idempotent
+    EXPECT_FALSE(routing.is_suspended(1));
+    EXPECT_EQ(routing.next_hop_or_none(1, 0), 1);
+    EXPECT_EQ(routing.next_hop_or_none(1, 1), 2);
     EXPECT_EQ(routing.path(1), (std::vector<net::NodeId>{0, 1, 2}));
-}
-
-TEST(RoutingRepair, ChangeLogPruningFallsBackToFullCompile)
-{
-    net::StaticRouting routing;
-    routing.add_flow(1, {0, 1});
-    routing.add_flow(2, {1, 2});
-    net::RoutingTable table(routing);
-    (void)table.next_hop(1, 0);
-    // Blow far past the log capacity so the compiled version falls below
-    // the floor; the table must recover via a full compile.
-    for (int i = 0; i < 5000; ++i) routing.update_flow(2, i % 2 ? std::vector<net::NodeId>{2, 1}
-                                                                : std::vector<net::NodeId>{1, 2});
-    EXPECT_GT(routing.change_log_floor(), 0u);
-    EXPECT_EQ(table.next_hop(2, 2), 1);  // last update left the path {2, 1}
-    EXPECT_EQ(table.next_hop(1, 0), 1);
+    // An update also lifts the suspension, onto the new path.
+    routing.suspend_flow(1);
+    routing.update_flow(1, {2, 3});
+    EXPECT_FALSE(routing.is_suspended(1));
+    EXPECT_EQ(routing.next_hop_or_none(1, 2), 3);
+    EXPECT_EQ(routing.next_hop_or_none(1, 0), net::StaticRouting::kNoNextHop);
+    EXPECT_EQ(testutil::routing_mismatch(routing, {1}, 0, 4), "");
 }
 
 // ----------------------------------------- channel detach/attach symmetry
@@ -445,7 +439,7 @@ TEST(FaultFlow, ChurnedRunBalancesItsLedger)
 
 TEST(FaultInjectorGuards, MultiShardNetworkRefused)
 {
-    // Route repair mutates the shared routing builder; the injector must
+    // Route repair mutates the shared routing table; the injector must
     // refuse a genuinely sharded network outright.
     net::IslandsSpec islands;
     islands.islands = 2;

@@ -46,25 +46,24 @@ TEST(Routing, NextHopFollowsPath)
 {
     StaticRouting routing;
     routing.add_flow(1, {0, 1, 2, 3});
-    EXPECT_EQ(routing.next_hop(1, 0), 1);
-    EXPECT_EQ(routing.next_hop(1, 1), 2);
-    EXPECT_EQ(routing.next_hop(1, 2), 3);
+    EXPECT_EQ(routing.next_hop_or_none(1, 0), 1);
+    EXPECT_EQ(routing.next_hop_or_none(1, 1), 2);
+    EXPECT_EQ(routing.next_hop_or_none(1, 2), 3);
 }
 
 TEST(Routing, DestinationHasNoNextHop)
 {
     StaticRouting routing;
     routing.add_flow(1, {0, 1, 2});
-    EXPECT_FALSE(routing.has_next_hop(1, 2));
-    EXPECT_THROW(routing.next_hop(1, 2), std::invalid_argument);
+    EXPECT_EQ(routing.next_hop_or_none(1, 2), StaticRouting::kNoNextHop);
 }
 
 TEST(Routing, UnknownFlowThrows)
 {
     StaticRouting routing;
-    EXPECT_THROW(routing.next_hop(9, 0), std::invalid_argument);
     EXPECT_THROW(routing.path(9), std::invalid_argument);
-    EXPECT_FALSE(routing.has_next_hop(9, 0));
+    EXPECT_THROW(routing.update_flow(9, {0, 1}), std::invalid_argument);
+    EXPECT_EQ(routing.next_hop_or_none(9, 0), StaticRouting::kNoNextHop);
 }
 
 TEST(Routing, RejectsBadPaths)

@@ -1,56 +1,30 @@
-// Property test for the compiled RoutingTable: across randomized
-// topologies and flow sets, its answers (next_hop, has_next_hop, error
-// behaviour) must be identical to the map-based StaticRouting scan it
-// compiles from — the builder stays the executable reference so the O(1)
-// swap can never silently change a simulation.
+// Property tests for StaticRouting's dense next-hop rows: across
+// randomized topologies and flow sets, next_hop_or_none must answer
+// exactly like a scan over the stored paths (tests/routing_oracle.h), so
+// the indexed lookup can never silently change a simulation.
 
 #include "net/routing.h"
 
 #include <gtest/gtest.h>
 
-#include <limits>
-#include <optional>
+#include <climits>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
+#include "routing_oracle.h"
 #include "util/rng.h"
 
 namespace ezflow::net {
 namespace {
 
-/// Outcome of one lookup: the next hop, or "threw std::invalid_argument".
-struct LookupOutcome {
-    std::optional<NodeId> next;
-    bool threw = false;
-
-    bool operator==(const LookupOutcome& other) const
-    {
-        return threw == other.threw && next == other.next;
-    }
-};
-
-template <typename Lookup>
-LookupOutcome probe(Lookup&& lookup)
-{
-    LookupOutcome outcome;
-    try {
-        outcome.next = lookup();
-    } catch (const std::invalid_argument&) {
-        outcome.threw = true;
-    }
-    return outcome;
-}
-
-/// A random simple path of 2..max_len distinct nodes out of `universe`,
-/// occasionally shifted below zero: StaticRouting itself accepts any
-/// NodeId values (Network validates ids separately), so the compiled
-/// table must agree on negative ids too.
-std::vector<NodeId> random_path(util::Rng& rng, int universe, int max_len)
+/// A random simple path of 2..max_len distinct nodes out of
+/// [base, base + universe).
+std::vector<NodeId> random_path(util::Rng& rng, NodeId base, int universe, int max_len)
 {
     const int want = rng.uniform_int(2, max_len);
-    const int shift = rng.bernoulli(0.2) ? rng.uniform_int(1, 4) : 0;
     std::vector<NodeId> pool;
-    for (int n = 0; n < universe; ++n) pool.push_back(n - shift);
+    for (int n = 0; n < universe; ++n) pool.push_back(base + n);
     std::vector<NodeId> path;
     for (int i = 0; i < want && !pool.empty(); ++i) {
         const int pick = rng.uniform_int(0, static_cast<int>(pool.size()) - 1);
@@ -60,121 +34,106 @@ std::vector<NodeId> random_path(util::Rng& rng, int universe, int max_len)
     return path;
 }
 
-TEST(RoutingTable, MatchesMapScanReferenceOn200RandomTopologies)
+TEST(StaticRouting, MatchesPathScanOn200RandomTopologies)
 {
     util::Rng rng(20260728);
     for (int trial = 0; trial < 200; ++trial) {
         const int universe = rng.uniform_int(2, 60);
         const int flows = rng.uniform_int(0, 12);
-        // Mix of packed and sparse flow ids: sparse sets exercise the
-        // binary-search fallback of the compiled index.
-        const bool sparse_ids = rng.bernoulli(0.25);
+        // Now and then the nodes sit far from 0 or at the top of the id
+        // domain, so rows are sized by their largest id, not by count.
+        const NodeId base = rng.bernoulli(0.1)   ? StaticRouting::kMaxNodeId - universe + 1
+                            : rng.bernoulli(0.1) ? rng.uniform_int(1, 100'000)
+                                                 : 0;
 
-        StaticRouting reference;
+        StaticRouting routing;
         std::set<int> used_ids;
         for (int f = 0; f < flows; ++f) {
-            const int flow_id = sparse_ids ? rng.uniform_int(0, 1'000'000'000)
-                                           : rng.uniform_int(0, 16);
+            const int flow_id = rng.uniform_int(0, 16);
             if (!used_ids.insert(flow_id).second) continue;
-            std::vector<NodeId> path = random_path(rng, universe, 8);
-            if (path.size() < 2) continue;
-            reference.add_flow(flow_id, std::move(path));
+            routing.add_flow(flow_id, random_path(rng, base, universe, 8));
         }
-        RoutingTable table(reference);
+        EXPECT_EQ(routing.flow_ids(), std::vector<int>(used_ids.begin(), used_ids.end()));
 
-        // Probe every registered flow plus unknown ids, across all nodes
-        // in (and slightly beyond) the universe, including negatives.
         std::vector<int> probe_flows(used_ids.begin(), used_ids.end());
-        probe_flows.push_back(-1);
         probe_flows.push_back(17);
-        probe_flows.push_back(rng.uniform_int(0, 1'000'000'000));
-        for (const int flow_id : probe_flows) {
-            for (NodeId node = -6; node < universe + 2; ++node) {
-                EXPECT_EQ(reference.has_next_hop(flow_id, node),
-                          table.has_next_hop(flow_id, node))
-                    << "trial " << trial << " flow " << flow_id << " node " << node;
-                const LookupOutcome expected =
-                    probe([&] { return reference.next_hop(flow_id, node); });
-                const LookupOutcome actual = probe([&] { return table.next_hop(flow_id, node); });
-                EXPECT_EQ(expected, actual)
-                    << "trial " << trial << " flow " << flow_id << " node " << node;
-            }
-        }
+        EXPECT_EQ(testutil::routing_mismatch(routing, probe_flows, base - 2, base + universe), "")
+            << "trial " << trial;
     }
 }
 
-TEST(RoutingTable, RecompilesWhenTheBuilderGrows)
+TEST(StaticRouting, FlowsAddedAfterLookupsAreRouted)
 {
-    StaticRouting builder;
-    RoutingTable table(builder);
-    builder.add_flow(1, {0, 1, 2});
-    EXPECT_EQ(table.next_hop(1, 0), 1);
-    EXPECT_FALSE(table.has_next_hop(2, 0));
-    // Flows added after the first lookups must be picked up transparently.
-    builder.add_flow(2, {2, 1, 0});
-    EXPECT_EQ(table.next_hop(2, 2), 1);
-    EXPECT_EQ(table.next_hop(2, 1), 0);
-    EXPECT_EQ(table.flow_count(), 2);
-    EXPECT_EQ(table.node_stride(), 3);
+    StaticRouting routing;
+    routing.add_flow(1, {0, 1, 2});
+    EXPECT_EQ(routing.next_hop_or_none(1, 0), 1);
+    EXPECT_EQ(routing.next_hop_or_none(2, 0), StaticRouting::kNoNextHop);
+    routing.add_flow(2, {2, 1, 0});
+    EXPECT_EQ(routing.next_hop_or_none(2, 2), 1);
+    EXPECT_EQ(routing.next_hop_or_none(2, 1), 0);
+    EXPECT_EQ(routing.next_hop_or_none(1, 0), 1);
+    EXPECT_EQ(testutil::routing_mismatch(routing, {1, 2}, 0, 3), "");
 }
 
-TEST(RoutingTable, SingleProbeLookupMirrorsHasNextHop)
+TEST(StaticRouting, LookupAnswersNoNextHopOffThePath)
 {
-    StaticRouting builder;
-    builder.add_flow(7, {3, 1, 4});
-    RoutingTable table(builder);
-    EXPECT_EQ(table.next_hop_or_none(7, 3), 1);
-    EXPECT_EQ(table.next_hop_or_none(7, 1), 4);
-    EXPECT_EQ(table.next_hop_or_none(7, 4), RoutingTable::kNoNextHop);   // destination
-    EXPECT_EQ(table.next_hop_or_none(7, 0), RoutingTable::kNoNextHop);   // off path
-    EXPECT_EQ(table.next_hop_or_none(8, 3), RoutingTable::kNoNextHop);   // unknown flow
-    EXPECT_EQ(table.next_hop_or_none(7, -5), RoutingTable::kNoNextHop);  // bad node
-    // Extreme probes must stay defined (64-bit slot arithmetic).
-    EXPECT_EQ(table.next_hop_or_none(7, std::numeric_limits<NodeId>::min()),
-              RoutingTable::kNoNextHop);
-    EXPECT_EQ(table.next_hop_or_none(7, std::numeric_limits<NodeId>::max()),
-              RoutingTable::kNoNextHop);
-    EXPECT_FALSE(table.has_next_hop(7, std::numeric_limits<NodeId>::min()));
+    StaticRouting routing;
+    routing.add_flow(7, {3, 1, 4});
+    EXPECT_EQ(routing.next_hop_or_none(7, 3), 1);
+    EXPECT_EQ(routing.next_hop_or_none(7, 1), 4);
+    EXPECT_EQ(routing.next_hop_or_none(7, 4), StaticRouting::kNoNextHop);   // destination
+    EXPECT_EQ(routing.next_hop_or_none(7, 0), StaticRouting::kNoNextHop);   // off path
+    EXPECT_EQ(routing.next_hop_or_none(7, 9), StaticRouting::kNoNextHop);   // past the row
+    EXPECT_EQ(routing.next_hop_or_none(8, 3), StaticRouting::kNoNextHop);   // unknown flow
+    EXPECT_EQ(routing.next_hop_or_none(5, 3), StaticRouting::kNoNextHop);   // id below a flow
+    EXPECT_EQ(routing.next_hop_or_none(7, -5), StaticRouting::kNoNextHop);  // negative node
+    // Extreme probes on both axes stay defined.
+    for (const int id : {INT_MIN, -1, INT_MAX}) {
+        EXPECT_EQ(routing.next_hop_or_none(7, id), StaticRouting::kNoNextHop) << id;
+        EXPECT_EQ(routing.next_hop_or_none(id, 3), StaticRouting::kNoNextHop) << id;
+    }
 }
 
-TEST(RoutingTable, HandlesNegativeNodeIdsLikeTheReference)
+TEST(StaticRouting, RejectsIdsOutsideTheDomain)
 {
-    // The builder does not constrain NodeId values (Network validates
-    // ids against the node table separately), so the compiled axis must
-    // cover whatever range the paths use.
-    StaticRouting builder;
-    builder.add_flow(1, {-5, 3, -2});
-    RoutingTable table(builder);
-    EXPECT_EQ(table.next_hop(1, -5), 3);
-    EXPECT_EQ(table.next_hop(1, 3), -2);
-    EXPECT_FALSE(table.has_next_hop(1, -2));  // destination
-    EXPECT_FALSE(table.has_next_hop(1, 0));   // inside the range, off path
-    EXPECT_THROW(table.next_hop(1, -6), std::invalid_argument);
+    StaticRouting routing;
+    EXPECT_THROW(routing.add_flow(1, {0, INT_MIN}), std::invalid_argument);
+    EXPECT_THROW(routing.add_flow(1, {-1, 0}), std::invalid_argument);
+    EXPECT_THROW(routing.add_flow(1, {0, StaticRouting::kMaxNodeId + 1}), std::invalid_argument);
+    EXPECT_THROW(routing.add_flow(1, {0, INT_MAX}), std::invalid_argument);
+    EXPECT_THROW(routing.add_flow(-1, {0, 1}), std::invalid_argument);
+    EXPECT_THROW(routing.add_flow(INT_MIN, {0, 1}), std::invalid_argument);
+    EXPECT_THROW(routing.add_flow(StaticRouting::kMaxFlowId + 1, {0, 1}), std::invalid_argument);
+    EXPECT_THROW(routing.add_flow(INT_MAX, {0, 1}), std::invalid_argument);
+    EXPECT_TRUE(routing.flow_ids().empty());
+
+    // The domain's edges are legal.
+    routing.add_flow(StaticRouting::kMaxFlowId, {StaticRouting::kMaxNodeId, 0});
+    EXPECT_EQ(routing.next_hop_or_none(StaticRouting::kMaxFlowId, StaticRouting::kMaxNodeId), 0);
+    EXPECT_THROW(routing.update_flow(StaticRouting::kMaxFlowId, {0, -3}), std::invalid_argument);
+    EXPECT_EQ(routing.path(StaticRouting::kMaxFlowId),
+              (std::vector<NodeId>{StaticRouting::kMaxNodeId, 0}));
 }
 
-TEST(RoutingTable, BuilderRejectsOutOfRangeNodeIds)
+TEST(StaticRouting, MutatorsRejectUnknownFlows)
 {
-    // The bounded id domain is what makes table-vs-builder equivalence
-    // total: no accepted path can collide with the kNoNextHop sentinel
-    // or overflow the dense axis.
-    StaticRouting builder;
-    EXPECT_THROW(builder.add_flow(1, {0, std::numeric_limits<NodeId>::min()}),
-                 std::invalid_argument);
-    EXPECT_THROW(builder.add_flow(1, {-StaticRouting::kMaxNodeId - 1, 0}),
-                 std::invalid_argument);
-    EXPECT_THROW(builder.add_flow(1, {0, StaticRouting::kMaxNodeId + 1}),
-                 std::invalid_argument);
-    builder.add_flow(1, {-3, 0});  // in-range negatives stay legal
-    EXPECT_EQ(RoutingTable(builder).next_hop(1, -3), 0);
+    StaticRouting routing;
+    routing.add_flow(2, {0, 1});
+    for (const int id : {-1, 0, 1, 3, INT_MIN, INT_MAX}) {
+        EXPECT_THROW(routing.update_flow(id, {0, 1}), std::invalid_argument) << id;
+        EXPECT_THROW(routing.suspend_flow(id), std::invalid_argument) << id;
+        EXPECT_THROW(routing.resume_flow(id), std::invalid_argument) << id;
+        EXPECT_THROW(routing.path(id), std::invalid_argument) << id;
+        EXPECT_FALSE(routing.is_suspended(id)) << id;
+    }
 }
 
-TEST(RoutingTable, EmptyBuilderAnswersLikeTheReference)
+TEST(StaticRouting, EmptyTableAnswersNoNextHop)
 {
-    StaticRouting builder;
-    RoutingTable table(builder);
-    EXPECT_FALSE(table.has_next_hop(0, 0));
-    EXPECT_THROW(table.next_hop(0, 0), std::invalid_argument);
-    EXPECT_EQ(table.flow_count(), 0);
+    StaticRouting routing;
+    EXPECT_EQ(routing.next_hop_or_none(0, 0), StaticRouting::kNoNextHop);
+    EXPECT_TRUE(routing.flow_ids().empty());
+    EXPECT_EQ(testutil::routing_mismatch(routing, {0, 1}, 0, 4), "");
 }
 
 }  // namespace

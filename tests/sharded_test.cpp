@@ -1,14 +1,14 @@
 // Space-parallel sharding tier: the partitioner's conservative guarantee
 // (no conflict edge ever crosses a shard boundary) on random layouts, the
-// ShardedEngine's epoch/handoff contract, and end-to-end byte-identity of
-// the sharded engine against the serial reference — same fingerprints and
-// the same figure JSON whatever the shard budget or thread count.
+// ShardedEngine's one-epoch-per-run_until contract, and end-to-end
+// byte-identity of the sharded engine against the serial reference — same
+// fingerprints and the same figure JSON whatever the shard budget or
+// thread count.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -136,60 +136,30 @@ TEST(ShardPlanner, SeparatedIslandsSplitUpToTheBudget)
 
 // ------------------------------------------------ ShardedEngine contract
 
-TEST(ShardedEngine, DeliversHandoffsAtTheBarrierInTimestampOrder)
+TEST(ShardedEngine, EachRunUntilIsOneEpochThatBringsEveryShardToTheTarget)
 {
     sim::Scheduler a;
     sim::Scheduler b;
+    sim::Scheduler c;
     sim::ShardedEngine::Options options;
-    options.threads = 1;
-    options.lookahead = 100;
-    sim::ShardedEngine engine({&a, &b}, options);
+    options.threads = 2;
+    sim::ShardedEngine engine({&a, &b, &c}, options);
 
-    std::vector<int> delivered;
-    std::vector<util::SimTime> delivered_at;
-    // Mid-epoch, shard 0 posts two handoffs into shard 1, timestamps
-    // descending — the barrier must still deliver them time-sorted.
-    a.schedule_at(10, [&] {
-        engine.post(0, 1, 150, [&] {
-            delivered.push_back(2);
-            delivered_at.push_back(b.now());
-        });
-        engine.post(0, 1, 120, [&] {
-            delivered.push_back(1);
-            delivered_at.push_back(b.now());
-        });
-    });
+    std::vector<util::SimTime> fired(3, -1);
+    a.schedule_at(10, [&] { fired[0] = a.now(); });
+    b.schedule_at(250, [&] { fired[1] = b.now(); });
+    c.schedule_at(400, [&] { fired[2] = c.now(); });  // beyond the first target
+
     engine.run_until(300);
-    ASSERT_EQ(delivered.size(), 2u);
-    EXPECT_EQ(delivered, (std::vector<int>{1, 2}));
-    EXPECT_EQ(delivered_at, (std::vector<util::SimTime>{120, 150}));
-    EXPECT_EQ(engine.handoffs(), 2u);
-    EXPECT_EQ(engine.epochs(), 3u);  // 300 / lookahead(100)
-    EXPECT_EQ(engine.now(), 300);
-}
+    EXPECT_EQ(engine.epochs(), 1u);
+    for (const sim::Scheduler* shard : {&a, &b, &c}) EXPECT_EQ(shard->now(), 300);
+    EXPECT_EQ(fired, (std::vector<util::SimTime>{10, 250, -1}));
 
-TEST(ShardedEngine, RejectsHandoffsBehindTheEpochHorizon)
-{
-    sim::Scheduler a;
-    sim::Scheduler b;
-    sim::ShardedEngine::Options options;
-    options.threads = 1;
-    options.lookahead = 100;
-    sim::ShardedEngine engine({&a, &b}, options);
-    bool threw = false;
-    a.schedule_at(10, [&] {
-        // The first epoch's horizon is 100; a handoff stamped inside the
-        // epoch would have to rewind shard 1.
-        try {
-            engine.post(0, 1, 50, [] {});
-        } catch (const std::logic_error&) {
-            threw = true;
-        }
-    });
-    engine.run_until(200);
-    EXPECT_TRUE(threw);
+    engine.run_until(1000);
+    EXPECT_EQ(engine.epochs(), 2u);
+    for (const sim::Scheduler* shard : {&a, &b, &c}) EXPECT_EQ(shard->now(), 1000);
+    EXPECT_EQ(fired[2], 400);
     EXPECT_EQ(engine.handoffs(), 0u);
-    EXPECT_THROW(engine.post(0, 2, 1000, [] {}), std::invalid_argument);
 }
 
 // --------------------------------------- end-to-end shard byte-identity

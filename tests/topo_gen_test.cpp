@@ -64,7 +64,7 @@ void check_flow_invariants(const Scenario& scenario)
             EXPECT_LE(d, range) << "flow " << plan.flow_id << " hop " << i << " too long";
         }
         EXPECT_EQ(scenario.network->routing().path(plan.flow_id), plan.path);
-        EXPECT_EQ(scenario.network->routing_table().next_hop(plan.flow_id, plan.path[0]),
+        EXPECT_EQ(scenario.network->routing().next_hop_or_none(plan.flow_id, plan.path[0]),
                   plan.path[1]);
     }
 }
